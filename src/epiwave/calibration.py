@@ -6,8 +6,9 @@ observation scale kappa in closed form (model total deaths == observed total
 deaths), and scores the fit.  The default metric is RMSE normalized by the
 observed peak, in percent; a cumulative-MAPE alternative is selectable.
 
-Cells are evaluated as vectorized chunks; results are collected and then
-sorted, so the ranking is independent of evaluation order.
+Cells are integrated in banks of similar R0, each only until its
+peak-aligned window is covered; results are collected and then sorted, so
+the ranking is independent of evaluation order.
 """
 from __future__ import annotations
 
@@ -15,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import DEFAULT_SEED, DEFAULT_STEP, SeirParams
+from .epidemic import DEFAULT_SEED, DEFAULT_STEP, SeirBank, SeirParams
 from .series import DailyCountSeries
 
 METRICS = ("nrmse-peak", "cum-mape")
 
-_CHUNK = 25000  # cells per vectorized integration pass
+_CHUNK = 8192  # cells per bank: keeps the kernel's working set in L2
 
 
 @dataclass(frozen=True)
@@ -112,56 +113,14 @@ def default_horizon(n_obs: int) -> int:
     return max(2 * n_obs, 240)
 
 
-def _daily_new_removed(
-    beta: np.ndarray,
-    eta: np.ndarray,
-    epsilon: np.ndarray,
-    n_days: int,
-    step: float = DEFAULT_STEP,
-    seed: float = DEFAULT_SEED,
-) -> np.ndarray:
-    """Unit-scale daily increments of R for a bank of SEIR parameter sets.
+def _model_curves(bank, observed, horizon, step, seed) -> np.ndarray:
+    """The bank's daily removals over the days ``_score`` reads.
 
-    RK4 with fixed step; only whole-day samples of R are retained.
-    Returns an array of shape (n_cells, n_days).
+    A cell's days after its peak-aligned window are past its peak, and they
+    read 0, which leaves its argmax and its window unchanged.
     """
-    beta = np.asarray(beta, float)
-    eta = np.asarray(eta, float)
-    epsilon = np.asarray(epsilon, float)
-    n = beta.size
-    per_day = int(round(1.0 / step))
-    if abs(per_day * step - 1.0) > 1e-9:
-        raise ValueError("step must divide one day evenly")
-    h = step
-
-    S = np.full(n, 1.0 - 2.0 * seed)
-    E = np.full(n, seed)
-    I = np.full(n, seed)
-    R = np.zeros(n)
-    daily_r = np.empty((n_days + 1, n))
-    daily_r[0] = R
-
-    def rhs(s, e, i):
-        force = beta * s * i
-        transfer = epsilon * e
-        return -force, force - transfer, transfer - eta * i, eta * i
-
-    for day in range(1, n_days + 1):
-        for _ in range(per_day):
-            k1s, k1e, k1i, k1r = rhs(S, E, I)
-            k2s, k2e, k2i, k2r = rhs(
-                S + 0.5 * h * k1s, E + 0.5 * h * k1e, I + 0.5 * h * k1i
-            )
-            k3s, k3e, k3i, k3r = rhs(
-                S + 0.5 * h * k2s, E + 0.5 * h * k2e, I + 0.5 * h * k2i
-            )
-            k4s, k4e, k4i, k4r = rhs(S + h * k3s, E + h * k3e, I + h * k3i)
-            S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            E = E + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
-            I = I + (h / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
-            R = R + (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        daily_r[day] = R
-    return np.maximum(np.diff(daily_r, axis=0), 0.0).T
+    after_peak = observed.size - int(np.argmax(observed))
+    return bank.daily_removed(horizon, step=step, seed=seed, after_peak=after_peak)
 
 
 def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
@@ -195,7 +154,9 @@ def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
         cum_obs = np.cumsum(observed)
         mask = cum_obs > 0
         rel = np.abs(cum_model[:, mask] - cum_obs[mask]) / cum_obs[mask]
-        error = 100.0 * np.mean(rel, axis=1)
+        # Summed day by day, so a cell scores the same in a bank of any size;
+        # a mean over axis 1 sums one row pairwise but a bank column-wise.
+        error = 100.0 * (np.cumsum(rel, axis=1)[:, -1] / rel.shape[1])
     error = np.where(model_total > 0, error, np.inf)
     return error, kappa
 
@@ -221,15 +182,8 @@ def fit_error(
     """Error percentage and closed-form kappa for one parameter set."""
     obs = _check_observed(observed)
     horizon = horizon_days or default_horizon(obs.size)
-    dd = _daily_new_removed(
-        np.array([params.beta]),
-        np.array([params.eta]),
-        np.array([params.epsilon]),
-        horizon,
-        step=step,
-        seed=seed,
-    )
-    error, kappa = _score(dd, obs, metric)
+    bank = SeirBank(params.beta, params.eta, params.epsilon)
+    error, kappa = _score(_model_curves(bank, obs, horizon, step, seed), obs, metric)
     return float(error[0]), float(kappa[0])
 
 
@@ -256,12 +210,12 @@ def grid_search(
     n = B.size
     errors = np.empty(n)
     kappas = np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        dd = _daily_new_removed(
-            B[lo:hi], H[lo:hi], X[lo:hi], horizon, step=step, seed=seed
-        )
-        errors[lo:hi], kappas[lo:hi] = _score(dd, obs, metric)
+    # Cells of similar R0 stop at about the same day, so a bank empties evenly.
+    by_r0 = np.argsort(B / H, kind="stable")
+    for cells in np.array_split(by_r0, -(-n // _CHUNK)):
+        bank = SeirBank(B[cells], H[cells], X[cells])
+        dd = _model_curves(bank, obs, horizon, step, seed)
+        errors[cells], kappas[cells] = _score(dd, obs, metric)
 
     # Ascending error; ties broken lexicographically by (beta, eta, epsilon).
     order = np.lexsort((X, H, B, errors))

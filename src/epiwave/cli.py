@@ -62,14 +62,20 @@ def _resolve(path: str) -> Path:
     return p
 
 
+def _open_input(path, label: str):
+    """Open a text input for reading; a missing or unreadable file is exit 2."""
+    try:
+        return open(_resolve(path), newline="", encoding="utf-8")
+    except OSError as exc:
+        raise SeriesError(f"cannot read {label} {path}: {exc}") from exc
+
+
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     cfg: dict[str, str] = {}
-    try:
-        text = Path(_resolve(path)).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SeriesError(f"cannot read config {path}: {exc}") from exc
+    with _open_input(path, "config") as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -255,7 +261,7 @@ def cmd_fit(args, config) -> int:
 
 def _read_fit_report(path) -> list[FitCandidate]:
     candidates = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path, "fit report") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
@@ -282,7 +288,7 @@ def _read_fit_report(path) -> list[FitCandidate]:
 def cmd_forecast(args, config) -> int:
     priors = []
     for path in args.prior_report:
-        candidates = _read_fit_report(_resolve(path))
+        candidates = _read_fit_report(path)
         report = FitReport(candidates=candidates, grid=GridSpec(), metric="loaded")
         n = min(args.top_n, len(candidates))
         priors.append(calibration.average_top_candidates(report, n))
@@ -322,7 +328,7 @@ def cmd_finalsize(args, config) -> int:
         did_something = True
     if args.table is not None:
         out = _out_dir(args)
-        with open(_resolve(args.table), newline="", encoding="utf-8") as fh:
+        with _open_input(args.table, "table") as fh:
             rows = [r for r in csv.DictReader(fh)]
         with open(out / "herd_immunity.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("wave,r0,r_f\n")
@@ -349,16 +355,16 @@ def cmd_simulate(args, config) -> int:
     seed = _setting(args, config, "seed_fraction", float, DEFAULT_SEED)
     days = _setting(args, config, "days", int, 200)
     traj = integrate(model, initial_state(model, seed), params, days, step)
-    out = _out_dir(args)
-    traj.to_csv(out / "trajectory.csv")
+    deaths = None
     if args.kappa is not None:
         start_date = _parse_date(
             _setting(args, config, "start_date", str, "2020-03-01")
         )
-        save_series(
-            daily_deaths(traj, args.kappa, start_date=start_date),
-            out / "deaths.csv",
-        )
+        deaths = daily_deaths(traj, args.kappa, start_date=start_date)
+    out = _out_dir(args)
+    traj.to_csv(out / "trajectory.csv")
+    if deaths is not None:
+        save_series(deaths, out / "deaths.csv")
     _say(args, f"samples={len(traj)}")
     return EXIT_OK
 
@@ -466,3 +472,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -1,5 +1,8 @@
 """SIR and SEIR compartmental models with a fixed-step RK4 integrator.
 
+``integrate`` runs one trajectory; ``SeirBank`` runs many SEIR parameter sets
+side by side for the grid search and the synthetic waves.
+
 Compartments are population fractions.  R0 = beta/eta.  The observation
 map renders daily deaths as the daily increment of the removed compartment
 scaled by a fitted constant kappa (deaths per unit removed fraction).
@@ -174,6 +177,152 @@ def integrate(
     return Trajectory(times=times, states=states, labels=labels, step=step)
 
 
+def _steps_per_day(step: float) -> int:
+    """RK4 steps per day; whole days must fall on steps."""
+    per_day = round(1.0 / step) if step > 0 else 0
+    if per_day < 1 or abs(per_day * step - 1.0) > 1e-9:
+        raise ValueError("step must divide one day evenly")
+    return per_day
+
+
+def _day_stepper(y, neg_beta, rates, per_day: int, step: float):
+    """A function advancing the (4, m) state block ``y`` by one day in place.
+
+    ``y`` rows are -S, E, I, R and ``rates`` rows are eta and epsilon.  S is
+    carried negated and the middle two RK4 stages work on doubled slopes
+    (from doubled rates), so every stage input and every sum of the classical
+    scheme is one operation on a block.  Negation and doubling are exact, so
+    each value is bit-identical to classical RK4 on S, E, I, R.
+    """
+    m = y.shape[1]
+    half, quarter, sixth = 0.5 * step, 0.25 * step, step / 6.0
+    single = neg_beta, rates
+    double = 2.0 * neg_beta, 2.0 * rates
+    # Slope block rows: force F = -S', E', I', removal R', transfer; rows
+    # 0-3 are the derivative of y.
+    total, slope = np.empty((5, m)), np.empty((5, m))
+    stage, tmp = np.empty((3, m)), np.empty((3, m))
+    y3, total3, total4 = y[:3], total[:3], total[:4]
+    slope3, slope4 = slope[:3], slope[:4]
+    y_views = y[0], y[2], y[2:0:-1]
+    stage_views = stage[0], stage[2], stage[2:0:-1]
+    total_views = total[0], total[1], total[2], total[3], total[4], total[3:5]
+    slope_views = slope[0], slope[1], slope[2], slope[3], slope[4], slope[3:5]
+    mul, add, sub = np.multiply, np.add, np.subtract
+
+    def rhs(state, params, out):
+        neg_s, i, i_e = state
+        neg_beta, rates = params
+        force, d_e, d_i, removal, transfer, removal_transfer = out
+        mul(neg_beta, neg_s, out=force)
+        mul(force, i, out=force)
+        mul(rates, i_e, out=removal_transfer)
+        sub(force, transfer, out=d_e)
+        sub(transfer, removal, out=d_i)
+
+    def advance():
+        for _ in range(per_day):
+            rhs(y_views, single, total_views)
+            mul(total3, half, out=tmp)
+            add(y3, tmp, out=stage)
+            rhs(stage_views, double, slope_views)
+            add(total4, slope4, out=total4)
+            mul(slope3, quarter, out=tmp)
+            add(y3, tmp, out=stage)
+            rhs(stage_views, double, slope_views)
+            add(total4, slope4, out=total4)
+            mul(slope3, half, out=tmp)
+            add(y3, tmp, out=stage)
+            rhs(stage_views, single, slope_views)
+            add(total4, slope4, out=total4)
+            mul(total4, sixth, out=total4)
+            add(y, total4, out=y)
+
+    return advance
+
+
+class SeirBank:
+    """SEIR parameter sets integrated side by side by fixed-step RK4.
+
+    Each step does the same IEEE operations in the same order as a classical
+    RK4 run of one cell, so a cell's numbers do not depend on the bank it is
+    integrated in.
+    """
+
+    def __init__(self, beta, eta, epsilon):
+        self.beta, self.eta, self.epsilon = (
+            np.array(a, float, ndmin=1) for a in (beta, eta, epsilon)
+        )
+        if not (self.beta.ndim == 1
+                and self.beta.shape == self.eta.shape == self.epsilon.shape):
+            raise ValueError("beta, eta and epsilon must be 1-D and of one length")
+
+    def daily_removed(
+        self,
+        n_days: int,
+        *,
+        step: float = DEFAULT_STEP,
+        seed: float = DEFAULT_SEED,
+        after_peak: int | None = None,
+    ) -> np.ndarray:
+        """Daily increments of R from the standard seed, shape (n, n_days).
+
+        Day d is R(d+1) - R(d), clipped at zero against round-off.  With
+        ``after_peak``, a cell stops once its increments are past their
+        maximum for good and the ``after_peak`` days from its peak day on are
+        integrated; its later days read 0.  Stopped cells leave the bank in
+        batches, and integration ends when none is left.  A cell too fast for
+        the step, step * (beta + eta + epsilon) > 2, never stops early.
+        """
+        per_day = _steps_per_day(step)
+        n = self.beta.size
+        daily = np.zeros((n_days, n))
+        y = np.empty((4, n))
+        y[0] = -(1.0 - 2.0 * seed)
+        y[1:3] = seed
+        y[3] = 0.0
+        neg_beta, rates = -self.beta, np.stack([self.eta, self.epsilon])
+        advance = _day_stepper(y, neg_beta, rates, per_day, step)
+        r_prev = np.zeros(n)
+        cells = np.arange(n)
+        peak_value = np.full(n, -1.0)
+        peak_day = np.zeros(n, int)
+        stopped = np.zeros(n, bool)
+        # step * (beta + eta + epsilon) bounds |step * lambda| over the
+        # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
+        # after the peak, so such a cell runs the whole horizon.
+        stable = step * (self.beta + self.eta + self.epsilon) <= 2.0
+        for day in range(n_days):
+            if after_peak is not None:
+                # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0
+                # wherever I' = 0: once I' < 0 as well, I falls for good.
+                eta, epsilon = rates
+                falling = (stable & (neg_beta * y[0] < eta)
+                           & (epsilon * y[1] < eta * y[2]))
+            advance()
+            increment = np.maximum(y[3] - r_prev, 0.0)
+            r_prev[:] = y[3]
+            if after_peak is None:
+                daily[day] = increment
+                continue
+            increment[stopped] = 0.0
+            daily[day, cells] = increment
+            rising = increment > peak_value
+            peak_value[rising] = increment[rising]
+            peak_day[rising] = day
+            stopped |= falling & (peak_day + after_peak <= day + 1)
+            if 8 * np.count_nonzero(stopped) >= stopped.size:
+                keep = ~stopped
+                if not keep.any():
+                    break
+                y, neg_beta, rates = y[:, keep], neg_beta[keep], rates[:, keep]
+                r_prev, cells = r_prev[keep], cells[keep]
+                peak_value, peak_day = peak_value[keep], peak_day[keep]
+                stopped, stable = stopped[keep], stable[keep]
+                advance = _day_stepper(y, neg_beta, rates, per_day, step)
+        return daily.T
+
+
 def daily_deaths(
     traj: Trajectory,
     scale: float,
@@ -182,16 +331,16 @@ def daily_deaths(
     """Daily deaths = scale * daily increment of the removed compartment.
 
     Day d covers the increment R(d+1) - R(d); values are clipped at zero
-    against round-off.
+    against round-off.  The trajectory's step must divide a day.
     """
     if scale < 0:
         raise ValueError("scale must be >= 0")
+    per_day = _steps_per_day(traj.step)
     t_end = traj.times[-1]
     n_days = int(np.floor(t_end + 1e-9))
     if n_days < 1:
         raise ValueError("trajectory must cover at least one day")
     removed = traj.compartment("R")
-    idx = np.rint(np.arange(n_days + 1) / traj.step).astype(int)
-    daily_r = removed[idx]
+    daily_r = removed[: n_days * per_day + 1 : per_day]
     values = scale * np.maximum(np.diff(daily_r), 0.0)
     return DailyCountSeries(start=start_date, values=values)

@@ -10,8 +10,7 @@ import datetime as dt
 
 import numpy as np
 
-from .calibration import _daily_new_removed
-from .epidemic import DEFAULT_SEED, DEFAULT_STEP, SeirParams
+from .epidemic import DEFAULT_SEED, DEFAULT_STEP, SeirBank, SeirParams
 from .series import DailyCountSeries, ExcessSeries
 
 # (start date, rise days, fall days, total deaths); the fourth wave is an
@@ -70,14 +69,8 @@ def synthetic_wave(
     """Model-generated daily-deaths wave, sliced where the curve exceeds
     ``threshold`` deaths/day around its peak.  Used as a known-truth
     calibration target."""
-    dd = kappa * _daily_new_removed(
-        np.array([params.beta]),
-        np.array([params.eta]),
-        np.array([params.epsilon]),
-        horizon_days,
-        step=step,
-        seed=seed,
-    )[0]
+    bank = SeirBank(params.beta, params.eta, params.epsilon)
+    dd = kappa * bank.daily_removed(horizon_days, step=step, seed=seed)[0]
     peak = int(np.argmax(dd))
     above = dd >= threshold
     lo = peak

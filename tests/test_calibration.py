@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epiwave.calibration import (
+    METRICS,
     FitCandidate,
     FitReport,
     GridSpec,
@@ -161,6 +162,13 @@ class TestGridSearch:
                 DailyCountSeries(start=wave.start, values=wave.values / obs_total),
             )
             assert scaled_error == pytest.approx(error, abs=1e-9)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_fit_error_equals_grid_search_row(self, wave, metric):
+        report = grid_search(wave, SMALL_GRID, metric, top_k=SMALL_GRID.n_cells)
+        assert len(report.candidates) == SMALL_GRID.n_cells
+        for c in report.candidates:
+            assert fit_error(c.params, wave, metric) == (c.error_pct, c.kappa)
 
     def test_top_k_validation(self, wave):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epiwave
 from epiwave.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_USAGE, main
 from epiwave.series import DailyCountSeries, load_excess, save_series
 
@@ -190,6 +195,12 @@ class TestForecast:
             _, lo, mid, hi = row.split(",")
             assert float(lo) <= float(mid) <= float(hi)
 
+    def test_missing_prior_report_exits_2(self, tmp_path, capsys):
+        rc = main(["forecast", "--prior-report", str(tmp_path / "missing.csv"),
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("epiwave: ")
+
 
 class TestFinalsize:
     def test_prints_reference_value(self, capsys):
@@ -213,6 +224,12 @@ class TestFinalsize:
         lines = (tmp_path / "herd_immunity.csv").read_text().splitlines()
         assert lines[0] == "wave,r0,r_f"
         assert len(lines) == 3
+
+    def test_missing_table_exits_2(self, tmp_path, capsys):
+        rc = main(["finalsize", "--table", str(tmp_path / "missing.csv"),
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("epiwave: ")
 
     def test_no_action_exits_4(self):
         assert main(["finalsize"]) == EXIT_USAGE
@@ -245,6 +262,13 @@ class TestSimulate:
         assert rc == 0
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,S,I,R"
+
+    def test_step_not_dividing_a_day_exits_3(self, tmp_path, capsys):
+        rc = main(["simulate", "--step", "0.3", "--days", "10", "--kappa", "100",
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_INVARIANT
+        assert "divide" in capsys.readouterr().err
+        assert not (tmp_path / "deaths.csv").exists()
 
 
 class TestConfigFile:
@@ -284,3 +308,13 @@ def test_data_dir_env_resolves_bare_names(tmp_path, monkeypatch):
     rc = main(["waves", "--input", "excess.csv", "--out", str(out), "--quiet"])
     assert rc == 0
     assert json.loads((out / "waves.json").read_text()) == []
+
+
+def test_module_entry_point_prints_usage():
+    src = str(Path(epiwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "epiwave.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: epiwave")
