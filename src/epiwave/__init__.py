@@ -23,8 +23,6 @@ from .epidemic import (
     daily_deaths,
     initial_state,
     integrate,
-    seir_rhs,
-    sir_rhs,
 )
 from .finalsize import FinalSizeResult, final_size_curve, solve_final_size
 from .forecast import ForecastBand, predict_wave
@@ -80,8 +78,6 @@ __all__ = [
     "predict_wave",
     "save_series",
     "segment_waves",
-    "seir_rhs",
-    "sir_rhs",
     "solve_final_size",
     "trailing_average_7",
     "wave_summary",

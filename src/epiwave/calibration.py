@@ -12,6 +12,7 @@ the ranking is independent of evaluation order.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,13 +242,16 @@ def grid_search(
     )
 
 
-def average_top_candidates(report: FitReport, n: int) -> FitCandidate:
-    """Arithmetic mean of the n best candidates; r0 is mean-beta/mean-eta."""
+def average_top_candidates(
+    candidates: Sequence[FitCandidate], n: int
+) -> FitCandidate:
+    """Arithmetic mean of the n best candidates, given best first; r0 is
+    mean-beta/mean-eta."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(report.candidates) < n:
-        raise ValueError(f"report has {len(report.candidates)} candidates, need {n}")
-    best = report.candidates[:n]
+    if len(candidates) < n:
+        raise ValueError(f"{len(candidates)} candidates, need {n}")
+    best = candidates[:n]
     beta = float(np.mean([c.params.beta for c in best]))
     eta = float(np.mean([c.params.eta for c in best]))
     epsilon = float(np.mean([c.params.epsilon for c in best]))

@@ -21,6 +21,7 @@ from .calibration import FitCandidate, FitReport, GridSpec
 from .epidemic import (
     DEFAULT_SEED,
     DEFAULT_STEP,
+    IntegrationError,
     SeirParams,
     daily_deaths,
     initial_state,
@@ -122,8 +123,12 @@ def _parse_date(text: str) -> dt.date:
 
 
 def _out_dir(args) -> Path:
+    """Create the output directory; a path that cannot be one is exit 2."""
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SeriesError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -215,7 +220,7 @@ def cmd_waves(args, config) -> int:
 def _wave_observed(args, config) -> DailyCountSeries:
     excess = _load_input_excess(args)
     segments = waves.segment_waves(excess, _segmentation_config(args, config))
-    index = args.wave_index
+    index = _setting(args, config, "wave_index", int, 0)
     if index < 0 or index >= len(segments):
         raise UsageError(
             f"wave index {index} out of range ({len(segments)} wave(s) found)"
@@ -286,12 +291,12 @@ def _read_fit_report(path) -> list[FitCandidate]:
 
 
 def cmd_forecast(args, config) -> int:
+    top_n = _setting(args, config, "top_n", int, 10)
     priors = []
     for path in args.prior_report:
         candidates = _read_fit_report(path)
-        report = FitReport(candidates=candidates, grid=GridSpec(), metric="loaded")
-        n = min(args.top_n, len(candidates))
-        priors.append(calibration.average_top_candidates(report, n))
+        n = min(top_n, len(candidates))
+        priors.append(calibration.average_top_candidates(candidates, n))
     start_date = _parse_date(_setting(args, config, "start_date", str, "2021-11-01"))
     horizon = _setting(args, config, "horizon", int, 120)
     band = forecast.predict_wave(priors, start_date, horizon)
@@ -409,7 +414,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="grid-search SEIR parameters for one wave")
     p.add_argument("--input")
     p.add_argument("--fixture", choices=list(fixtures.FIXTURES))
-    p.add_argument("--wave-index", type=int, default=0, dest="wave_index")
+    p.add_argument("--wave-index", type=int, dest="wave_index")
     p.add_argument("--beta-grid", type=_parse_grid_axis, dest="beta_grid")
     p.add_argument("--eta-grid", type=_parse_grid_axis, dest="eta_grid")
     p.add_argument("--epsilon-grid", type=_parse_grid_axis, dest="epsilon_grid")
@@ -424,7 +429,7 @@ def build_parser() -> _Parser:
         "--prior-report", action="append", default=[], required=True,
         help="fit report CSV; repeat for several prior waves",
     )
-    p.add_argument("--top-n", type=int, default=10, dest="top_n")
+    p.add_argument("--top-n", type=int, dest="top_n")
     p.add_argument("--start-date", dest="start_date")
     p.add_argument("--horizon", type=int)
     _add_common(p)
@@ -465,7 +470,7 @@ def main(argv=None) -> int:
     except SeriesError as exc:
         print(f"epiwave: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except (ValueError, IntegrationError) as exc:
         print(f"epiwave: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

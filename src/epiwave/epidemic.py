@@ -1,7 +1,8 @@
-"""SIR and SEIR compartmental models with a fixed-step RK4 integrator.
+"""SIR and SEIR compartmental models with one fixed-step RK4 stepper.
 
 ``integrate`` runs one trajectory; ``SeirBank`` runs many SEIR parameter sets
-side by side for the grid search and the synthetic waves.
+side by side for the grid search, the forecast bands and the synthetic waves.
+Both advance the same (-S, E, I, R) block with ``_rk4_stepper``.
 
 Compartments are population fractions.  R0 = beta/eta.  The observation
 map renders daily deaths as the daily increment of the removed compartment
@@ -81,21 +82,6 @@ class SeirState:
         return np.array([self.S, self.E, self.I, self.R])
 
 
-def sir_rhs(state: SirState, params: SeirParams) -> np.ndarray:
-    """(dS, dI, dR); components sum to zero by construction."""
-    force = params.beta * state.S * state.I
-    removal = params.eta * state.I
-    return np.array([-force, force - removal, removal])
-
-
-def seir_rhs(state: SeirState, params: SeirParams) -> np.ndarray:
-    """(dS, dE, dI, dR); components sum to zero by construction."""
-    force = params.beta * state.S * state.I
-    transfer = params.epsilon * state.E
-    removal = params.eta * state.I
-    return np.array([-force, force - transfer, transfer - removal, removal])
-
-
 def initial_state(system: str, seed: float = DEFAULT_SEED):
     """Default seeding: symmetric E/I seed for SEIR, single I seed for SIR."""
     if system == "seir":
@@ -128,19 +114,6 @@ class Trajectory:
                 fh.write(f"{t:.12g},{cols}\n")
 
 
-def _array_rhs(y: np.ndarray, params: SeirParams, seir: bool) -> np.ndarray:
-    if seir:
-        S, E, I, _ = y
-        force = params.beta * S * I
-        transfer = params.epsilon * E
-        removal = params.eta * I
-        return np.array([-force, force - transfer, transfer - removal, removal])
-    S, I, _ = y
-    force = params.beta * S * I
-    removal = params.eta * I
-    return np.array([-force, force - removal, removal])
-
-
 def integrate(
     system: str,
     initial,
@@ -157,20 +130,23 @@ def integrate(
     if not seir and system != "sir":
         raise ValueError(f"unknown system {system!r}")
     labels = ("S", "E", "I", "R") if seir else ("S", "I", "R")
+    rows = [0, 1, 2, 3] if seir else [0, 2, 3]
 
     n_steps = int(np.floor(t_end / step + 1e-9))
-    y = initial.as_array().astype(float)
-    states = np.empty((n_steps + 1, y.size))
-    states[0] = y
-    h = step
+    y = np.zeros((4, 1))
+    y[rows, 0] = initial.as_array()
+    y[0] = -y[0]
+    rates = np.array([[params.eta], [params.epsilon]])
+    advance = _rk4_stepper(y, np.array([-params.beta]), rates, step, seir)
+    block = np.empty((n_steps + 1, 4, 1))
+    block[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            k1 = _array_rhs(y, params, seir)
-            k2 = _array_rhs(y + 0.5 * h * k1, params, seir)
-            k3 = _array_rhs(y + 0.5 * h * k2, params, seir)
-            k4 = _array_rhs(y + h * k3, params, seir)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[i] = y
+            advance(1)
+            block[i] = y
+    states = block[:, rows, 0]
+    # 0 - (-S) restores S exactly and, unlike negation, keeps S = 0 at +0.
+    np.subtract(0.0, states[:, 0], out=states[:, 0])
     if not np.all(np.isfinite(states)):
         raise IntegrationError("non-finite state encountered; check step and rates")
     times = np.arange(n_steps + 1) * step
@@ -185,19 +161,22 @@ def _steps_per_day(step: float) -> int:
     return per_day
 
 
-def _day_stepper(y, neg_beta, rates, per_day: int, step: float):
-    """A function advancing the (4, m) state block ``y`` by one day in place.
+def _rk4_stepper(y, neg_beta, rates, step: float, seir: bool = True):
+    """A function advancing the (4, m) state block ``y`` by n RK4 steps in place.
 
     ``y`` rows are -S, E, I, R and ``rates`` rows are eta and epsilon.  S is
     carried negated and the middle two RK4 stages work on doubled slopes
     (from doubled rates), so every stage input and every sum of the classical
     scheme is one operation on a block.  Negation and doubling are exact, so
-    each value is bit-identical to classical RK4 on S, E, I, R.
+    each value is bit-identical to classical RK4 on S, E, I, R.  Without
+    ``seir`` the block runs SIR: the force feeds I in place of epsilon * E,
+    and an E row of 0 stays 0, as force - force = 0.
     """
     m = y.shape[1]
     half, quarter, sixth = 0.5 * step, 0.25 * step, step / 6.0
-    single = neg_beta, rates
-    double = 2.0 * neg_beta, 2.0 * rates
+    double_rates = 2.0 * rates
+    single = neg_beta, rates, rates[0]
+    double = 2.0 * neg_beta, double_rates, double_rates[0]
     # Slope block rows: force F = -S', E', I', removal R', transfer; rows
     # 0-3 are the derivative of y.
     total, slope = np.empty((5, m)), np.empty((5, m))
@@ -212,16 +191,20 @@ def _day_stepper(y, neg_beta, rates, per_day: int, step: float):
 
     def rhs(state, params, out):
         neg_s, i, i_e = state
-        neg_beta, rates = params
+        neg_beta, rates, eta = params
         force, d_e, d_i, removal, transfer, removal_transfer = out
         mul(neg_beta, neg_s, out=force)
         mul(force, i, out=force)
-        mul(rates, i_e, out=removal_transfer)
+        if seir:
+            mul(rates, i_e, out=removal_transfer)
+        else:
+            mul(eta, i, out=removal)
+            transfer = force
         sub(force, transfer, out=d_e)
         sub(transfer, removal, out=d_i)
 
-    def advance():
-        for _ in range(per_day):
+    def advance(n_steps: int):
+        for _ in range(n_steps):
             rhs(y_views, single, total_views)
             mul(total3, half, out=tmp)
             add(y3, tmp, out=stage)
@@ -275,6 +258,8 @@ class SeirBank:
         the step, step * (beta + eta + epsilon) > 2, never stops early.
         """
         per_day = _steps_per_day(step)
+        if not 0.0 <= seed <= 0.5:
+            raise ValueError("seed must lie in [0, 0.5]")
         n = self.beta.size
         daily = np.zeros((n_days, n))
         y = np.empty((4, n))
@@ -282,7 +267,7 @@ class SeirBank:
         y[1:3] = seed
         y[3] = 0.0
         neg_beta, rates = -self.beta, np.stack([self.eta, self.epsilon])
-        advance = _day_stepper(y, neg_beta, rates, per_day, step)
+        advance = _rk4_stepper(y, neg_beta, rates, step)
         r_prev = np.zeros(n)
         cells = np.arange(n)
         peak_value = np.full(n, -1.0)
@@ -299,7 +284,7 @@ class SeirBank:
                 eta, epsilon = rates
                 falling = (stable & (neg_beta * y[0] < eta)
                            & (epsilon * y[1] < eta * y[2]))
-            advance()
+            advance(per_day)
             increment = np.maximum(y[3] - r_prev, 0.0)
             r_prev[:] = y[3]
             if after_peak is None:
@@ -319,7 +304,7 @@ class SeirBank:
                 r_prev, cells = r_prev[keep], cells[keep]
                 peak_value, peak_day = peak_value[keep], peak_day[keep]
                 stopped, stable = stopped[keep], stable[keep]
-                advance = _day_stepper(y, neg_beta, rates, per_day, step)
+                advance = _rk4_stepper(y, neg_beta, rates, step)
         return daily.T
 
 

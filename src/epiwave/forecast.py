@@ -17,10 +17,9 @@ from .calibration import FitCandidate
 from .epidemic import (
     DEFAULT_SEED,
     DEFAULT_STEP,
+    IntegrationError,
+    SeirBank,
     SeirParams,
-    daily_deaths,
-    initial_state,
-    integrate,
 )
 from .series import DailyCountSeries
 
@@ -33,18 +32,6 @@ class ForecastBand:
     assumptions: dict
 
 
-def _band_curve(
-    params: SeirParams,
-    kappa: float,
-    start_date: dt.date,
-    horizon_days: int,
-    step: float,
-    seed: float,
-) -> DailyCountSeries:
-    traj = integrate("seir", initial_state("seir", seed), params, horizon_days, step)
-    return daily_deaths(traj, kappa, start_date=start_date)
-
-
 def predict_wave(
     priors: list[FitCandidate],
     start_date: dt.date,
@@ -53,7 +40,11 @@ def predict_wave(
     step: float = DEFAULT_STEP,
     seed: float = DEFAULT_SEED,
 ) -> ForecastBand:
-    """Central/lower/upper daily-deaths curves over the forecast horizon."""
+    """Central/lower/upper daily-deaths curves over the forecast horizon.
+
+    Raises IntegrationError when a curve is not finite (rates too fast for
+    the step).
+    """
     if not priors:
         raise ValueError("need at least one prior candidate")
     if horizon_days < 14:
@@ -68,14 +59,15 @@ def predict_wave(
     lower_p = SeirParams(min(betas), max(etas), epsilon)
     upper_p = SeirParams(max(betas), min(etas), epsilon)
 
-    curves = {
-        name: _band_curve(p, kappa, start_date, horizon_days, step, seed)
-        for name, p in (("central", central_p), ("lower", lower_p), ("upper", upper_p))
-    }
+    bands = (lower_p, central_p, upper_p)
+    bank = SeirBank([p.beta for p in bands], [p.eta for p in bands], [epsilon] * 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = kappa * bank.daily_removed(horizon_days, step=step, seed=seed)
+    if not np.all(np.isfinite(curves)):
+        raise IntegrationError("non-finite forecast curve; check step and rates")
     # Repair any pointwise ordering violations across the three curves.
-    stacked = np.vstack([curves[k].values for k in ("lower", "central", "upper")])
-    lower_vals = stacked.min(axis=0)
-    upper_vals = stacked.max(axis=0)
+    lower_vals = curves.min(axis=0)
+    upper_vals = curves.max(axis=0)
 
     def describe(p: SeirParams) -> dict:
         return {
@@ -87,7 +79,7 @@ def predict_wave(
         }
 
     return ForecastBand(
-        central=curves["central"],
+        central=DailyCountSeries(start=start_date, values=curves[1]),
         lower=DailyCountSeries(start=start_date, values=lower_vals),
         upper=DailyCountSeries(start=start_date, values=upper_vals),
         assumptions={

@@ -1,11 +1,19 @@
-"""The cell-batched RK4 kernel that the grid search used before ``SeirBank``.
+"""The two RK4 implementations that the one stepper in ``epiwave.epidemic``
+replaced, kept unchanged as references it must match bit for bit.
 
-Kept unchanged as the reference that ``SeirBank.daily_removed`` must match
-bit for bit.
+``_daily_new_removed`` is the cell-batched kernel the grid search used before
+``SeirBank``; ``integrate`` is the Python-loop single-trajectory integrator
+that ``simulate`` and the forecast bands used.
 """
 import numpy as np
 
-from epiwave.epidemic import DEFAULT_SEED, DEFAULT_STEP
+from epiwave.epidemic import (
+    DEFAULT_SEED,
+    DEFAULT_STEP,
+    IntegrationError,
+    SeirParams,
+    Trajectory,
+)
 
 
 def _daily_new_removed(
@@ -59,3 +67,51 @@ def _daily_new_removed(
         daily_r[day] = R
     return np.maximum(np.diff(daily_r, axis=0), 0.0).T
 
+
+def _array_rhs(y: np.ndarray, params: SeirParams, seir: bool) -> np.ndarray:
+    if seir:
+        S, E, I, _ = y
+        force = params.beta * S * I
+        transfer = params.epsilon * E
+        removal = params.eta * I
+        return np.array([-force, force - transfer, transfer - removal, removal])
+    S, I, _ = y
+    force = params.beta * S * I
+    removal = params.eta * I
+    return np.array([-force, force - removal, removal])
+
+
+def integrate(
+    system: str,
+    initial,
+    params: SeirParams,
+    t_end: float,
+    step: float = DEFAULT_STEP,
+) -> Trajectory:
+    """Classical 4th-order fixed-step integration from t=0 to t_end."""
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    if t_end < step:
+        raise ValueError("t_end must be >= step")
+    seir = system == "seir"
+    if not seir and system != "sir":
+        raise ValueError(f"unknown system {system!r}")
+    labels = ("S", "E", "I", "R") if seir else ("S", "I", "R")
+
+    n_steps = int(np.floor(t_end / step + 1e-9))
+    y = initial.as_array().astype(float)
+    states = np.empty((n_steps + 1, y.size))
+    states[0] = y
+    h = step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            k1 = _array_rhs(y, params, seir)
+            k2 = _array_rhs(y + 0.5 * h * k1, params, seir)
+            k3 = _array_rhs(y + 0.5 * h * k2, params, seir)
+            k4 = _array_rhs(y + h * k3, params, seir)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[i] = y
+    if not np.all(np.isfinite(states)):
+        raise IntegrationError("non-finite state encountered; check step and rates")
+    times = np.arange(n_steps + 1) * step
+    return Trajectory(times=times, states=states, labels=labels, step=step)

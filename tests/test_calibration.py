@@ -4,7 +4,6 @@ import pytest
 from epiwave.calibration import (
     METRICS,
     FitCandidate,
-    FitReport,
     GridSpec,
     average_top_candidates,
     fit_error,
@@ -176,24 +175,25 @@ class TestGridSearch:
 
 
 class TestAverageTopCandidates:
-    def _report(self, rows):
-        candidates = [
+    def _candidates(self, rows):
+        return [
             FitCandidate(
                 params=SeirParams(b, e, x), kappa=k, r0=b / e, error_pct=err
             )
             for b, e, x, k, err in rows
         ]
-        return FitReport(candidates=candidates, grid=GridSpec(), metric="nrmse-peak")
 
     def test_n_one_is_best_candidate(self):
-        report = self._report([(0.23, 0.14, 3.0, 1e4, 0.5), (0.24, 0.15, 3.0, 1e4, 0.9)])
-        assert average_top_candidates(report, 1) == report.candidates[0]
+        candidates = self._candidates(
+            [(0.23, 0.14, 3.0, 1e4, 0.5), (0.24, 0.15, 3.0, 1e4, 0.9)]
+        )
+        assert average_top_candidates(candidates, 1) == candidates[0]
 
     def test_mean_of_two(self):
-        report = self._report(
+        candidates = self._candidates(
             [(0.22, 0.10, 3.0, 1e4, 0.5), (0.24, 0.12, 4.0, 2e4, 0.7)]
         )
-        avg = average_top_candidates(report, 2)
+        avg = average_top_candidates(candidates, 2)
         assert avg.params.beta == pytest.approx(0.23)
         assert avg.params.eta == pytest.approx(0.11)
         assert avg.params.epsilon == pytest.approx(3.5)
@@ -202,9 +202,9 @@ class TestAverageTopCandidates:
         assert avg.r0 == avg.params.beta / avg.params.eta
 
     def test_too_few_candidates(self):
-        report = self._report([(0.23, 0.14, 3.0, 1e4, 0.5)])
+        candidates = self._candidates([(0.23, 0.14, 3.0, 1e4, 0.5)])
         with pytest.raises(ValueError):
-            average_top_candidates(report, 2)
+            average_top_candidates(candidates, 2)
 
 
 def test_report_csv_shape(tmp_path, wave):

@@ -195,6 +195,16 @@ class TestForecast:
             _, lo, mid, hi = row.split(",")
             assert float(lo) <= float(mid) <= float(hi)
 
+    def test_blow_up_prior_exits_3(self, tmp_path, capsys):
+        report = tmp_path / "blow_up.csv"
+        report.write_text("r0,beta,eta,epsilon,kappa,error_pct\n"
+                          "3.0,0.3,0.1,100000.0,10000.0,1.0\n")
+        rc = main(["forecast", "--prior-report", str(report),
+                   "--out", str(tmp_path / "fc"), "--quiet"])
+        assert rc == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("epiwave: ") and err.count("\n") == 1
+
     def test_missing_prior_report_exits_2(self, tmp_path, capsys):
         rc = main(["forecast", "--prior-report", str(tmp_path / "missing.csv"),
                    "--out", str(tmp_path), "--quiet"])
@@ -271,6 +281,14 @@ class TestSimulate:
         assert not (tmp_path / "deaths.csv").exists()
 
 
+    def test_blow_up_exits_3(self, tmp_path, capsys):
+        rc = main(["simulate", "--epsilon", "100000", "--days", "20",
+                   "--out", str(tmp_path), "--quiet"])
+        assert rc == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("epiwave: ") and err.count("\n") == 1
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -293,6 +311,39 @@ class TestConfigFile:
         rc = main(["waves", "--fixture", "triangle", "--config", str(cfg),
                    "--out", str(tmp_path)])
         assert rc == EXIT_PARSE
+
+
+    def test_config_sets_wave_index_and_top_n(self, tmp_path):
+        grid = ["--beta-grid", "0.2,0.3,3", "--eta-grid", "0.06,0.16,3",
+                "--epsilon-grid", "3,3,1", "--no-timestamp", "--quiet"]
+        base = ["fit", "--fixture", "synthetic-istanbul"] + grid
+        assert main(base + ["--wave-index", "1", "--out", str(tmp_path / "flag")]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wave_index=1\n")
+        assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+        assert main(base + ["--out", str(tmp_path / "w0")]) == 0
+        report = [(tmp_path / d / "fit_report.csv").read_bytes()
+                  for d in ("flag", "cfg", "w0")]
+        assert report[0] == report[1] != report[2]
+
+        cfg.write_text("top_n=1\n")
+        out = tmp_path / "fc"
+        rc = main(["forecast", "--prior-report", str(tmp_path / "flag" / "fit_report.csv"),
+                   "--config", str(cfg), "--horizon", "30", "--out", str(out),
+                   "--no-timestamp", "--quiet"])
+        assert rc == 0
+        best = (tmp_path / "flag" / "fit_report.csv").read_text().splitlines()[1]
+        beta = float(best.split(",")[1])
+        assert json.loads((out / "assumptions.json").read_text())["central"]["beta"] == beta
+
+
+def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    rc = main(["waves", "--fixture", "triangle",
+               "--out", str(tmp_path / "afile" / "sub"), "--quiet"])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("epiwave: ") and err.count("\n") == 1
 
 
 def test_data_dir_env_resolves_bare_names(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rk4_reference
 from epiwave.epidemic import (
     IntegrationError,
     SeirParams,
@@ -12,56 +14,10 @@ from epiwave.epidemic import (
     daily_deaths,
     initial_state,
     integrate,
-    seir_rhs,
-    sir_rhs,
 )
 
 # Per-wave mean parameters used as a realistic regression point.
 WAVE1_PARAMS = SeirParams(beta=0.231419776, eta=0.073068182, epsilon=3.0)
-
-
-class TestRhs:
-    def test_sir_no_infected_is_fixed_point(self):
-        state = SirState(S=0.7, I=0.0, R=0.3)
-        assert np.array_equal(sir_rhs(state, WAVE1_PARAMS), np.zeros(3))
-
-    def test_sir_disease_free_equilibrium(self):
-        state = SirState(S=1.0, I=0.0, R=0.0)
-        assert np.array_equal(sir_rhs(state, WAVE1_PARAMS), np.zeros(3))
-
-    def test_sir_hand_arithmetic(self):
-        params = SeirParams(beta=0.232846715, eta=0.072992701, epsilon=3.0)
-        d = sir_rhs(SirState(S=0.5, I=0.5, R=0.0), params)
-        assert d[0] == pytest.approx(-0.232846715 * 0.25, abs=1e-15)
-        assert d[1] == pytest.approx(0.058211679 - 0.036496351, abs=1e-9)
-        assert d[2] == pytest.approx(0.036496351, abs=1e-9)
-
-    def test_seir_no_carriers_is_fixed_point(self):
-        state = SeirState(S=0.8, E=0.0, I=0.0, R=0.2)
-        assert np.array_equal(seir_rhs(state, WAVE1_PARAMS), np.zeros(4))
-
-    def test_seir_hand_arithmetic(self):
-        params = SeirParams(beta=0.23, eta=0.142857143, epsilon=3.0)
-        d = seir_rhs(SeirState(S=0.9, E=0.05, I=0.05, R=0.0), params)
-        force = 0.23 * 0.9 * 0.05
-        assert d[0] == pytest.approx(-force, abs=1e-15)
-        assert d[1] == pytest.approx(force - 3.0 * 0.05, abs=1e-12)
-        assert d[2] == pytest.approx(3.0 * 0.05 - 0.142857143 * 0.05, abs=1e-12)
-        assert d[3] == pytest.approx(0.142857143 * 0.05, abs=1e-15)
-
-    def test_derivatives_sum_to_zero(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            raw = rng.uniform(0.01, 1.0, size=4)
-            s, e, i, r = raw / raw.sum()
-            params = SeirParams(*rng.uniform(0.05, 4.0, size=3))
-            assert seir_rhs(SeirState(s, e, i, r), params).sum() == pytest.approx(
-                0.0, abs=1e-15
-            )
-            s2, i2, r2 = np.array([s, e + i, r]) / (s + e + i + r)
-            assert sir_rhs(SirState(s2, i2, r2), params).sum() == pytest.approx(
-                0.0, abs=1e-15
-            )
 
 
 class TestBasicReproduction:
@@ -80,7 +36,60 @@ class TestBasicReproduction:
         assert basic_reproduction(SeirParams(0.1, 0.1, 3.0)) == 1.0
 
 
+@st.composite
+def initial_states(draw, system):
+    """A random state of the system with some compartments exactly 0."""
+    n = 4 if system == "seir" else 3
+    raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    for k in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        raw[k] = 0.0
+    total = sum(raw)
+    return (SeirState if system == "seir" else SirState)(*(x / total for x in raw))
+
+
+@st.composite
+def runs(draw, max_rate, steps):
+    """(system, initial state, params, t_end, step) for ``integrate``."""
+    system = draw(st.sampled_from(("sir", "seir")))
+    params = SeirParams(*draw(st.tuples(*[st.floats(0.01, max_rate)] * 3)))
+    step = draw(st.sampled_from(steps))
+    t_end = draw(st.floats(step, 300 * step))
+    return system, draw(initial_states(system)), params, t_end, step
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("initial", [
+        SirState(S=0.7, I=0.0, R=0.3),
+        SirState(S=1.0, I=0.0, R=0.0),
+        SeirState(S=0.8, E=0.0, I=0.0, R=0.2),
+    ])
+    def test_no_carriers_stay_constant(self, initial):
+        system = "seir" if isinstance(initial, SeirState) else "sir"
+        traj = integrate(system, initial, WAVE1_PARAMS, 30)
+        assert np.array_equal(traj.states, np.tile(initial.as_array(), (len(traj), 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs(max_rate=1.0, steps=(0.01, 0.05, 0.1)))
+    def test_conservation_and_positivity_property(self, run):
+        traj = integrate(*run)
+        assert np.abs(traj.states.sum(axis=1) - 1.0).max() < 1e-9
+        assert traj.states.min() >= -1e-12
+
+    # Rates up to 10 at step 0.5 include runs that blow up in both.
+    @settings(max_examples=100, deadline=None)
+    @given(runs(max_rate=10.0, steps=(0.002, 0.05, 0.07, 0.3, 0.5)))
+    def test_equals_reference_integrator(self, run):
+        try:
+            expected = rk4_reference.integrate(*run)
+        except IntegrationError:
+            with pytest.raises(IntegrationError):
+                integrate(*run)
+            return
+        got = integrate(*run)
+        assert got.labels == expected.labels and got.step == expected.step
+        assert got.times.tobytes() == expected.times.tobytes()
+        assert got.states.tobytes() == expected.states.tobytes()
+
     def test_disease_free_constant(self):
         traj = integrate("seir", initial_state("seir", seed=0.0), WAVE1_PARAMS, 50)
         assert np.array_equal(traj.states, np.tile(traj.states[0], (len(traj), 1)))

@@ -3,8 +3,9 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import rk4_reference
 from epiwave.calibration import FitCandidate
-from epiwave.epidemic import SeirParams
+from epiwave.epidemic import IntegrationError, SeirParams, daily_deaths, initial_state
 from epiwave.forecast import predict_wave
 
 START = dt.date(2021, 11, 1)
@@ -76,8 +77,32 @@ def test_identical_priors_identical_bands():
     assert np.array_equal(band.lower.values, band.upper.values)
 
 
+def test_curves_equal_reference_runs():
+    priors = [candidate(0.20, 0.15, 2.5, 8000.0), candidate(0.26, 0.10, 3.5, 12000.0),
+              candidate(0.23, 0.12, 4.0, 5000.0)]
+    band = predict_wave(priors, START, 240)
+    curves = {}
+    for name in ("lower", "central", "upper"):
+        a = band.assumptions[name]
+        traj = rk4_reference.integrate(
+            "seir", initial_state("seir"),
+            SeirParams(a["beta"], a["eta"], a["epsilon"]), 240)
+        curves[name] = daily_deaths(traj, a["kappa"], start_date=START).values
+    stacked = np.vstack([curves["lower"], curves["central"], curves["upper"]])
+    assert band.central.values.tobytes() == curves["central"].tobytes()
+    assert band.lower.values.tobytes() == stacked.min(axis=0).tobytes()
+    assert band.upper.values.tobytes() == stacked.max(axis=0).tobytes()
+
+
+def test_blow_up_is_reported():
+    with pytest.raises(IntegrationError):
+        predict_wave([candidate(0.23, 0.14, epsilon=1e5)], START, 90)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         predict_wave([], START, 90)
     with pytest.raises(ValueError):
         predict_wave([candidate(0.23, 0.14)], START, 7)
+    with pytest.raises(ValueError):
+        predict_wave([candidate(0.23, 0.14)], START, 90, seed=0.6)

@@ -157,6 +157,12 @@ def test_rejects_step_not_dividing_a_day():
         SeirBank(0.23, 0.14, 3.0).daily_removed(10, step=0.3)
 
 
+@pytest.mark.parametrize("seed", [-1e-3, 0.6])
+def test_rejects_seed_outside_the_state_space(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SeirBank(0.23, 0.14, 3.0).daily_removed(10, seed=seed)
+
+
 def test_rejects_mismatched_parameter_arrays():
     with pytest.raises(ValueError):
         SeirBank([0.2, 0.3], [0.1], [3.0, 3.0])
