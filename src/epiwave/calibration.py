@@ -23,6 +23,7 @@ from .series import DailyCountSeries
 METRICS = ("nrmse-peak", "cum-mape")
 
 _CHUNK = 8192  # cells per bank: keeps the kernel's working set in L2
+_SCORE_ROWS = 512  # cells per _score call: keeps its temporaries small
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,10 @@ def grid_search(
     for cells in np.array_split(by_r0, -(-n // _CHUNK)):
         bank = SeirBank(B[cells], H[cells], X[cells])
         dd = _model_curves(bank, obs, horizon, step, seed)
-        errors[cells], kappas[cells] = _score(dd, obs, metric)
+        for first in range(0, cells.size, _SCORE_ROWS):
+            rows = slice(first, first + _SCORE_ROWS)
+            errors[cells[rows]], kappas[cells[rows]] = _score(dd[rows], obs, metric)
+        del dd  # before the next bank allocates its curves
 
     # Ascending error; ties broken lexicographically by (beta, eta, epsilon).
     order = np.lexsort((X, H, B, errors))

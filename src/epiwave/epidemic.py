@@ -261,7 +261,10 @@ class SeirBank:
         if not 0.0 <= seed <= 0.5:
             raise ValueError("seed must lie in [0, 0.5]")
         n = self.beta.size
-        daily = np.zeros((n_days, n))
+        # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
+        # every page.  Day-major, the days after the early stop stayed
+        # unwritten, and peak memory hung on the kernel's huge-page choices.
+        daily = np.zeros((n, n_days))
         y = np.empty((4, n))
         y[0] = -(1.0 - 2.0 * seed)
         y[1:3] = seed
@@ -288,10 +291,10 @@ class SeirBank:
             increment = np.maximum(y[3] - r_prev, 0.0)
             r_prev[:] = y[3]
             if after_peak is None:
-                daily[day] = increment
+                daily[:, day] = increment
                 continue
             increment[stopped] = 0.0
-            daily[day, cells] = increment
+            daily[cells, day] = increment
             rising = increment > peak_value
             peak_value[rising] = increment[rising]
             peak_day[rising] = day
@@ -305,7 +308,7 @@ class SeirBank:
                 peak_value, peak_day = peak_value[keep], peak_day[keep]
                 stopped, stable = stopped[keep], stable[keep]
                 advance = _rk4_stepper(y, neg_beta, rates, step)
-        return daily.T
+        return daily
 
 
 def daily_deaths(
