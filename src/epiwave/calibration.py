@@ -8,10 +8,12 @@ observed peak, in percent; a cumulative-MAPE alternative is selectable.
 
 Cells are integrated in banks of similar R0, each only until its
 peak-aligned window is covered; results are collected and then sorted, so
-the ranking is independent of evaluation order.
+the ranking is independent of evaluation order.  Grids of more than one bank
+run their banks on one worker process per usable CPU where ``fork`` exists.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -131,8 +133,6 @@ def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
     Returns (error_pct, kappa) arrays over cells.  Cells whose aligned
     window captures no deaths get kappa 0 and infinite error.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
     n_obs = observed.size
     horizon = model_dd.shape[1]
     peak_model = np.argmax(model_dd, axis=1)  # earliest day on ties
@@ -163,13 +163,52 @@ def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
     return error, kappa
 
 
-def _check_observed(observed: DailyCountSeries) -> np.ndarray:
+def _check_inputs(observed: DailyCountSeries, metric, step, seed) -> np.ndarray:
+    """The observed values; ValueError for any unusable input, before any work."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    SeirBank.check_run(step, seed)
     obs = np.asarray(observed.values, float)
     if obs.size < 14:
         raise ValueError("observed wave must span at least 14 days")
     if not np.any(obs > 0):
         raise ValueError("observed wave is all zero")
     return obs
+
+
+def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
+    """(errors, kappas) of one bank of cells, scored ``_SCORE_ROWS`` at a time."""
+    bank = SeirBank(beta, eta, epsilon)
+    dd = _model_curves(bank, obs, horizon, step, seed)
+    n = bank.beta.size
+    errors, kappas = np.empty(n), np.empty(n)
+    for first in range(0, n, _SCORE_ROWS):
+        rows = slice(first, first + _SCORE_ROWS)
+        errors[rows], kappas[rows] = _score(dd[rows], obs, metric)
+    return errors, kappas
+
+
+def _map_banks(jobs):
+    """``_bank_scores`` of each job, on one worker process per usable CPU.
+
+    Where there is one CPU, one bank or no ``fork``, the banks run in this
+    process.  The pool modules are imported only when a pool starts, so that
+    they add nothing to the import of epiwave.
+    """
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    workers = min(len(usable), len(jobs))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: spawn re-imports __main__ and starts a fresh
+            # interpreter per worker.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(_bank_scores, *zip(*jobs)))
+    return list(map(_bank_scores, *zip(*jobs)))
 
 
 def fit_error(
@@ -182,10 +221,11 @@ def fit_error(
     seed: float = DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Error percentage and closed-form kappa for one parameter set."""
-    obs = _check_observed(observed)
+    obs = _check_inputs(observed, metric, step, seed)
     horizon = horizon_days or default_horizon(obs.size)
-    bank = SeirBank(params.beta, params.eta, params.epsilon)
-    error, kappa = _score(_model_curves(bank, obs, horizon, step, seed), obs, metric)
+    error, kappa = _bank_scores(
+        params.beta, params.eta, params.epsilon, obs, horizon, step, seed, metric
+    )
     return float(error[0]), float(kappa[0])
 
 
@@ -204,7 +244,7 @@ def grid_search(
         grid = GridSpec()
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    obs = _check_observed(observed)
+    obs = _check_inputs(observed, metric, step, seed)
     horizon = horizon_days or default_horizon(obs.size)
 
     bv, ev, xv = grid.beta_values, grid.eta_values, grid.epsilon_values
@@ -214,13 +254,10 @@ def grid_search(
     kappas = np.empty(n)
     # Cells of similar R0 stop at about the same day, so a bank empties evenly.
     by_r0 = np.argsort(B / H, kind="stable")
-    for cells in np.array_split(by_r0, -(-n // _CHUNK)):
-        bank = SeirBank(B[cells], H[cells], X[cells])
-        dd = _model_curves(bank, obs, horizon, step, seed)
-        for first in range(0, cells.size, _SCORE_ROWS):
-            rows = slice(first, first + _SCORE_ROWS)
-            errors[cells[rows]], kappas[cells[rows]] = _score(dd[rows], obs, metric)
-        del dd  # before the next bank allocates its curves
+    banks = np.array_split(by_r0, -(-n // _CHUNK))
+    jobs = [(B[c], H[c], X[c], obs, horizon, step, seed, metric) for c in banks]
+    for cells, (bank_errors, bank_kappas) in zip(banks, _map_banks(jobs)):
+        errors[cells], kappas[cells] = bank_errors, bank_kappas
 
     # Ascending error; ties broken lexicographically by (beta, eta, epsilon).
     order = np.lexsort((X, H, B, errors))

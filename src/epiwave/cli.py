@@ -89,12 +89,18 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _setting(args, config, name, conv, default):
-    """Flag wins over config file, which wins over the built-in default."""
+    """Flag wins over config file, which wins over the built-in default.
+
+    A config value that ``conv`` cannot parse is an input error (exit 2).
+    """
     value = getattr(args, name, None)
     if value is not None:
         return value
     if name in config:
-        return conv(config[name])
+        try:
+            return conv(config[name])
+        except (ValueError, UsageError) as exc:
+            raise SeriesError(f"config {name}={config[name]!r}: {exc}") from exc
     return default
 
 
@@ -166,8 +172,8 @@ def _segmentation_config(args, config) -> waves.SegmentationConfig:
 def cmd_excess(args, config) -> int:
     reported = load_series(_resolve(args.reported))
     histories = [load_series(_resolve(p)) for p in args.history]
-    weight_values = _parse_floats(
-        _setting(args, config, "weights", str, "0.4,0.3,0.2,0.05,0.05")
+    weight_values = _setting(
+        args, config, "weights", _parse_floats, [0.4, 0.3, 0.2, 0.05, 0.05]
     )
     if len(weight_values) != len(histories):
         raise ValueError(
@@ -297,7 +303,9 @@ def cmd_forecast(args, config) -> int:
         candidates = _read_fit_report(path)
         n = min(top_n, len(candidates))
         priors.append(calibration.average_top_candidates(candidates, n))
-    start_date = _parse_date(_setting(args, config, "start_date", str, "2021-11-01"))
+    start_date = _setting(
+        args, config, "start_date", _parse_date, dt.date(2021, 11, 1)
+    )
     horizon = _setting(args, config, "horizon", int, 120)
     band = forecast.predict_wave(priors, start_date, horizon)
     out = _out_dir(args)
@@ -362,8 +370,8 @@ def cmd_simulate(args, config) -> int:
     traj = integrate(model, initial_state(model, seed), params, days, step)
     deaths = None
     if args.kappa is not None:
-        start_date = _parse_date(
-            _setting(args, config, "start_date", str, "2020-03-01")
+        start_date = _setting(
+            args, config, "start_date", _parse_date, dt.date(2020, 3, 1)
         )
         deaths = daily_deaths(traj, args.kappa, start_date=start_date)
     out = _out_dir(args)
@@ -399,7 +407,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("excess", help="build excess-mortality series")
     p.add_argument("--reported", required=True)
     p.add_argument("--history", action="append", default=[], required=True)
-    p.add_argument("--weights")
+    p.add_argument("--weights", type=_parse_floats)
     p.add_argument("--smoothing", choices=["pre", "post", "none"])
     _add_common(p)
     p.set_defaults(func=cmd_excess)
@@ -430,7 +438,7 @@ def build_parser() -> _Parser:
         help="fit report CSV; repeat for several prior waves",
     )
     p.add_argument("--top-n", type=int, dest="top_n")
-    p.add_argument("--start-date", dest="start_date")
+    p.add_argument("--start-date", type=_parse_date, dest="start_date")
     p.add_argument("--horizon", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_forecast)
@@ -451,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float)
     p.add_argument("--seed-fraction", type=float, dest="seed_fraction")
     p.add_argument("--kappa", type=float)
-    p.add_argument("--start-date", dest="start_date")
+    p.add_argument("--start-date", type=_parse_date, dest="start_date")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -109,9 +109,11 @@ class Trajectory:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("t," + ",".join(self.labels) + "\n")
+            # The repr of a Python float (not of np.float64) is the shortest
+            # string that parses back to the same double.
             for t, row in zip(self.times, self.states):
-                cols = ",".join(f"{x:.12g}" for x in row)
-                fh.write(f"{t:.12g},{cols}\n")
+                cols = ",".join(map(repr, row.tolist()))
+                fh.write(f"{float(t)!r},{cols}\n")
 
 
 def integrate(
@@ -240,6 +242,14 @@ class SeirBank:
                 and self.beta.shape == self.eta.shape == self.epsilon.shape):
             raise ValueError("beta, eta and epsilon must be 1-D and of one length")
 
+    @staticmethod
+    def check_run(step: float, seed: float) -> int:
+        """RK4 steps per day of ``daily_removed``; ValueError if unusable."""
+        per_day = _steps_per_day(step)
+        if not 0.0 <= seed <= 0.5:
+            raise ValueError("seed must lie in [0, 0.5]")
+        return per_day
+
     def daily_removed(
         self,
         n_days: int,
@@ -257,9 +267,7 @@ class SeirBank:
         batches, and integration ends when none is left.  A cell too fast for
         the step, step * (beta + eta + epsilon) > 2, never stops early.
         """
-        per_day = _steps_per_day(step)
-        if not 0.0 <= seed <= 0.5:
-            raise ValueError("seed must lie in [0, 0.5]")
+        per_day = self.check_run(step, seed)
         n = self.beta.size
         # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
         # every page.  Day-major, the days after the early stop stayed

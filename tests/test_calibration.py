@@ -1,6 +1,14 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import epiwave
+from epiwave import calibration
 from epiwave.calibration import (
     METRICS,
     FitCandidate,
@@ -172,6 +180,95 @@ class TestGridSearch:
     def test_top_k_validation(self, wave):
         with pytest.raises(ValueError):
             grid_search(wave, SMALL_GRID, top_k=0)
+
+    @pytest.mark.parametrize("setting", [
+        {"metric": "bogus"}, {"step": 0.3}, {"seed": 0.6}, {"seed": -1e-5},
+    ])
+    def test_bad_setting_fails_before_any_bank(self, wave, monkeypatch, setting):
+        banks = spy_on_banks(monkeypatch)
+        with pytest.raises(ValueError):
+            grid_search(wave, SMALL_GRID, **setting)
+        assert banks == []
+
+
+def spy_on_banks(monkeypatch) -> list:
+    """Record each ``SeirBank`` this process builds; forked workers record
+    in their own copy of the list."""
+    built = []
+
+    class SpyBank(calibration.SeirBank):
+        def __init__(self, beta, eta, epsilon):
+            built.append(len(beta))
+            super().__init__(beta, eta, epsilon)
+
+    monkeypatch.setattr(calibration, "SeirBank", SpyBank)
+    return built
+
+
+def spy_on_pools(monkeypatch) -> list:
+    """Record the worker count of each process pool that starts."""
+    started = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return started
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class TestBankPool:
+    """Banks run on one worker process per usable CPU, with unchanged results.
+
+    ``_CHUNK`` is cut to 100 cells so that a small grid spans several banks.
+    """
+
+    GRID = GridSpec(beta_range=(0.18, 0.30, 9), eta_range=(0.08, 0.16, 9),
+                    epsilon_range=(2.0, 5.0, 5))  # 405 cells: 5 banks
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_reports_equal_in_process_and_pooled(
+            self, wave, tmp_path, monkeypatch, metric):
+        monkeypatch.setattr(calibration, "_CHUNK", 100)
+        pools = spy_on_pools(monkeypatch)
+        banks = spy_on_banks(monkeypatch)
+        outputs = []
+        for cpus in (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            report = grid_search(wave, self.GRID, metric, top_k=self.GRID.n_cells)
+            report.to_csv(tmp_path / f"report{cpus}.csv")
+            outputs.append(((tmp_path / f"report{cpus}.csv").read_bytes(),
+                            report.beta_scan, report.eta_scan))
+            if cpus == 1:  # five banks in this process, no pool
+                assert banks == [81] * 5 and pools == []
+        assert pools == [2]
+        assert banks == [81] * 5  # the pooled run built none here
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == self.GRID.n_cells + 1
+
+    def test_one_bank_starts_no_pool(self, wave, monkeypatch):
+        monkeypatch.setattr(calibration, "_CHUNK", SMALL_GRID.n_cells)
+        pools = spy_on_pools(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        grid_search(wave, SMALL_GRID)
+        assert pools == []
+
+    def test_import_leaves_pool_modules_out(self):
+        src = str(Path(epiwave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, epiwave; print(sorted(m for m in sys.modules"
+                " if m.startswith(('multiprocessing', 'concurrent'))))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestAverageTopCandidates:

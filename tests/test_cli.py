@@ -255,7 +255,7 @@ class TestSimulate:
         assert lines[0] == "t,S,E,I,R"
         first = lines[1].split(",")[1:]
         last = lines[-1].split(",")[1:]
-        assert first == last == ["1", "0", "0", "0"]
+        assert first == last == ["1.0", "0.0", "0.0", "0.0"]
 
     def test_deaths_csv_with_kappa(self, tmp_path):
         rc = main(["simulate", "--model", "seir", "--days", "60",
@@ -312,6 +312,25 @@ class TestConfigFile:
                    "--out", str(tmp_path)])
         assert rc == EXIT_PARSE
 
+
+    @pytest.mark.parametrize("command, line", [
+        (["fit", "--beta-grid", "0.2,0.3,2", "--epsilon-grid", "3,3,1"], "top_k=abc"),
+        (["fit", "--beta-grid", "0.2,0.3,2", "--epsilon-grid", "3,3,1"],
+         "eta_grid=0.1,0.2"),
+        (["waves"], "min_wave_days=3.5"),
+        (["simulate", "--days", "10", "--kappa", "100"], "start_date=2020-13-01"),
+    ])
+    def test_unparsable_config_value_exits_2_naming_the_key(
+            self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        fixture = [] if command[0] == "simulate" else ["--fixture", "triangle"]
+        rc = main(command + fixture + ["--config", str(cfg), "--out", str(tmp_path),
+                                       "--no-timestamp", "--quiet"])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("epiwave: ") and err.count("\n") == 1
+        assert line.split("=")[0] in err
 
     def test_config_sets_wave_index_and_top_n(self, tmp_path):
         grid = ["--beta-grid", "0.2,0.3,3", "--eta-grid", "0.06,0.16,3",

@@ -207,3 +207,6 @@ def test_trajectory_csv_export(tmp_path):
     lines = (tmp_path / "traj.csv").read_text().splitlines()
     assert lines[0] == "t,S,E,I,R"
     assert len(lines) == 4  # header + t = 0, 0.5, 1.0
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows[:, 0], traj.times)
+    assert np.array_equal(rows[:, 1:], traj.states)
