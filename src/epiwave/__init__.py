@@ -41,7 +41,7 @@ from .series import (
     load_series,
     save_series,
 )
-from .waves import SegmentationConfig, WaveSegment, segment_waves, wave_summary
+from .waves import SegmentationConfig, WaveSegment, segment_waves
 
 __version__ = "0.1.0"
 
@@ -80,5 +80,4 @@ __all__ = [
     "segment_waves",
     "solve_final_size",
     "trailing_average_7",
-    "wave_summary",
 ]

@@ -44,8 +44,8 @@ class GridSpec:
         ):
             if steps < 1:
                 raise ValueError(f"{name} steps must be >= 1")
-            if lo <= 0 or hi <= 0:
-                raise ValueError(f"{name} bounds must be > 0")
+            if not (0 < lo < np.inf and 0 < hi < np.inf):
+                raise ValueError(f"{name} bounds must be finite and > 0")
             if steps > 1 and not lo < hi:
                 raise ValueError(f"{name} needs min < max when steps > 1")
 

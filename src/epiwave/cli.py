@@ -2,17 +2,23 @@
 -> fit -> forecast -> final size.
 
 Subcommands write plot-ready CSV/JSON artifacts into the output directory.
-Exit codes: 0 success, 2 input parse error, 3 invariant violation, 4 usage.
+Exit codes: 0 success, 2 input or config error, 3 inconsistent values,
+4 usage.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import datetime as dt
+import inspect
 import json
+import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -52,6 +58,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Numeric domains of a setting; a value holds when each of its numbers does.
+FINITE, POSITIVE, COUNT = "finite", "> 0", ">= 1"
+_HOLDS = {FINITE: math.isfinite, POSITIVE: lambda x: 0 < x < math.inf,
+          COUNT: lambda x: x >= 1}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting of a command: ``flag`` on the command line and ``key`` in a
+    ``--config`` file (None: flag only), parsed from text by ``parse``, with
+    values in ``domain`` (a numeric domain, a tuple of choices or None for
+    any) and ``default`` when neither gives one."""
+
+    flag: str
+    key: str | None
+    parse: Callable[[str], Any] = str
+    domain: Any = None
+    default: Any = None
+    required: bool = False
+    repeat: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.key or self.flag[2:].replace("-", "_")
+
+    @property
+    def domain_text(self) -> str | None:
+        if isinstance(self.domain, tuple):
+            return "one of " + ", ".join(self.domain)
+        return self.domain
+
+    @property
+    def help(self) -> str:
+        about = [self.key and f"config key {self.key}", self.domain_text,
+                 self.default is not None and f"default {self.default}"]
+        return "; ".join(filter(None, about))
+
+    def convert(self, text: str):
+        """The value of ``text``; ValueError if it does not parse or hold."""
+        value = self.parse(text)
+        if isinstance(self.domain, tuple):
+            holds = value in self.domain
+        else:
+            numbers = value if isinstance(value, (tuple, list)) else (value,)
+            holds = self.domain is None or all(_HOLDS[self.domain](x) for x in numbers)
+        if not holds:
+            raise ValueError(f"must be {self.domain_text}")
+        return value
+
+    def flag_type(self, text: str):
+        try:
+            return self.convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+
+
 def _resolve(path: str) -> Path:
     """Resolve an input path, falling back to $EPIWAVE_DATA_DIR for bare names."""
     p = Path(path)
@@ -88,44 +150,33 @@ def _load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _setting(args, config, name, conv, default):
-    """Flag wins over config file, which wins over the built-in default.
-
-    A config value that ``conv`` cannot parse is an input error (exit 2).
-    """
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        try:
-            return conv(config[name])
-        except (ValueError, UsageError) as exc:
-            raise SeriesError(f"config {name}={config[name]!r}: {exc}") from exc
-    return default
+def _apply_config(args, config: dict[str, str], settings) -> None:
+    """Set each setting on ``args``: its flag wins over ``config``, which wins
+    over its default.  Every key of ``config`` must belong to some command,
+    and each one of this command must hold (exit 2 otherwise)."""
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise SeriesError(f"config: unknown key {unknown[0]!r}")
+    for s in settings:
+        value = getattr(args, s.dest)
+        if s.key in config:
+            try:
+                configured = s.convert(config[s.key])
+            except ValueError as exc:
+                raise SeriesError(f"config {s.key}={config[s.key]!r}: {exc}") from exc
+            value = configured if value is None else value
+        setattr(args, s.dest, s.default if value is None else value)
 
 
 def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+    return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _parse_grid_axis(text: str) -> tuple[float, float, int]:
+def _parse_axis(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"grid axis must be 'min,max,steps', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"bad grid axis {text!r}") from exc
-
-
-def _parse_date(text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise UsageError(f"bad date {text!r}") from exc
+        raise ValueError("expected 'min,max,steps'")
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 def _out_dir(args) -> Path:
@@ -152,34 +203,26 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _load_input_excess(args):
-    if getattr(args, "fixture", None):
-        return fixtures.get_fixture(args.fixture)
-    if not args.input:
+def _segments(args):
+    """The input excess series and its waves under the segmentation settings."""
+    if args.fixture:
+        excess = fixtures.get_fixture(args.fixture)
+    elif args.input:
+        excess = load_excess(_resolve(args.input))
+    else:
         raise UsageError("either --input or --fixture is required")
-    return load_excess(_resolve(args.input))
-
-
-def _segmentation_config(args, config) -> waves.SegmentationConfig:
-    return waves.SegmentationConfig(
-        start_threshold=_setting(args, config, "start_threshold", float, 10.0),
-        end_threshold=_setting(args, config, "end_threshold", float, 10.0),
-        min_persistence_days=_setting(args, config, "min_persistence_days", int, 3),
-        min_wave_days=_setting(args, config, "min_wave_days", int, 21),
+    config = waves.SegmentationConfig(
+        **{s.key: getattr(args, s.key) for s in _SEGMENTATION}
     )
+    return excess, waves.segment_waves(excess, config)
 
 
-def cmd_excess(args, config) -> int:
+def cmd_excess(args) -> int:
     reported = load_series(_resolve(args.reported))
     histories = [load_series(_resolve(p)) for p in args.history]
-    weight_values = _setting(
-        args, config, "weights", _parse_floats, [0.4, 0.3, 0.2, 0.05, 0.05]
-    )
-    if len(weight_values) != len(histories):
-        raise ValueError(
-            f"{len(weight_values)} weights for {len(histories)} histories"
-        )
-    weights = mortality.BaselineWeights.from_weights(weight_values)
+    if len(args.weights) != len(histories):
+        raise ValueError(f"{len(args.weights)} weights for {len(histories)} histories")
+    weights = mortality.BaselineWeights.from_weights(args.weights)
 
     expected_parts = [
         mortality.expected_deaths(histories, weights, year)
@@ -189,20 +232,17 @@ def cmd_excess(args, config) -> int:
         start=expected_parts[0].start,
         values=np.concatenate([p.values for p in expected_parts]),
     )
-    smoothing = _setting(args, config, "smoothing", str, "pre")
-    if smoothing == "pre":
+    if args.smoothing == "pre":
         excess = mortality.excess_mortality(
             mortality.trailing_average_7(reported),
             mortality.trailing_average_7(expected),
         )
-    elif smoothing == "post":
+    elif args.smoothing == "post":
         excess = mortality.trailing_average_7(
             mortality.excess_mortality(reported, expected)
         )
-    elif smoothing == "none":
-        excess = mortality.excess_mortality(reported, expected)
     else:
-        raise UsageError(f"unknown smoothing {smoothing!r} (pre, post or none)")
+        excess = mortality.excess_mortality(reported, expected)
 
     out = _out_dir(args)
     save_series(excess, out / "excess.csv")
@@ -212,9 +252,8 @@ def cmd_excess(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_waves(args, config) -> int:
-    excess = _load_input_excess(args)
-    segments = waves.segment_waves(excess, _segmentation_config(args, config))
+def cmd_waves(args) -> int:
+    _, segments = _segments(args)
     out = _out_dir(args)
     with open(out / "waves.json", "w", encoding="utf-8") as fh:
         json.dump([s.to_dict() for s in segments], fh, indent=2)
@@ -223,33 +262,18 @@ def cmd_waves(args, config) -> int:
     return EXIT_OK
 
 
-def _wave_observed(args, config) -> DailyCountSeries:
-    excess = _load_input_excess(args)
-    segments = waves.segment_waves(excess, _segmentation_config(args, config))
-    index = _setting(args, config, "wave_index", int, 0)
+def cmd_fit(args) -> int:
+    excess, segments = _segments(args)
+    index = args.wave_index
     if index < 0 or index >= len(segments):
         raise UsageError(
             f"wave index {index} out of range ({len(segments)} wave(s) found)"
         )
     seg = segments[index]
     piece = excess.window(seg.start_date, seg.end_date)
-    return DailyCountSeries(
-        start=piece.start, values=np.maximum(piece.values, 0.0)
-    )
-
-
-def cmd_fit(args, config) -> int:
-    observed = _wave_observed(args, config)
-    grid = GridSpec(
-        beta_range=_setting(args, config, "beta_grid", _parse_grid_axis, (0.15, 0.35, 200)),
-        eta_range=_setting(args, config, "eta_grid", _parse_grid_axis, (0.05, 0.20, 150)),
-        epsilon_range=_setting(
-            args, config, "epsilon_grid", _parse_grid_axis, (2.0, 5.0, 7)
-        ),
-    )
-    metric = _setting(args, config, "metric", str, "nrmse-peak")
-    top_k = _setting(args, config, "top_k", int, 10)
-    report = calibration.grid_search(observed, grid, metric, top_k)
+    observed = DailyCountSeries(start=piece.start, values=np.maximum(piece.values, 0.0))
+    grid = GridSpec(args.beta_grid, args.eta_grid, args.epsilon_grid)
+    report = calibration.grid_search(observed, grid, args.metric, args.top_k)
     out = _out_dir(args)
     report.to_csv(out / "fit_report.csv")
     FitReport.scan_to_csv(report.beta_scan, out / "beta_scan.csv")
@@ -258,7 +282,7 @@ def cmd_fit(args, config) -> int:
         args,
         out,
         "fit_meta.json",
-        {"metric": metric, "cells": grid.n_cells, "top_k": top_k},
+        {"metric": args.metric, "cells": grid.n_cells, "top_k": args.top_k},
     )
     best = report.candidates[0]
     _say(
@@ -273,41 +297,27 @@ def cmd_fit(args, config) -> int:
 def _read_fit_report(path) -> list[FitCandidate]:
     candidates = []
     with _open_input(path, "fit report") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             try:
-                beta = float(row["beta"])
-                eta = float(row["eta"])
-                epsilon = float(row["epsilon"])
-                kappa = float(row["kappa"])
-                error = float(row["error_pct"])
+                beta, eta, epsilon, kappa, error = (
+                    float(row[k]) for k in ("beta", "eta", "epsilon", "kappa", "error_pct")
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SeriesError(f"{path}: malformed fit report row") from exc
-            candidates.append(
-                FitCandidate(
-                    params=SeirParams(beta, eta, epsilon),
-                    kappa=kappa,
-                    r0=beta / eta,
-                    error_pct=error,
-                )
-            )
+            params = SeirParams(beta, eta, epsilon)
+            candidates.append(FitCandidate(params, kappa, beta / eta, error))
     if not candidates:
         raise SeriesError(f"{path}: empty fit report")
     return candidates
 
 
-def cmd_forecast(args, config) -> int:
-    top_n = _setting(args, config, "top_n", int, 10)
+def cmd_forecast(args) -> int:
     priors = []
     for path in args.prior_report:
         candidates = _read_fit_report(path)
-        n = min(top_n, len(candidates))
+        n = min(args.top_n, len(candidates))
         priors.append(calibration.average_top_candidates(candidates, n))
-    start_date = _setting(
-        args, config, "start_date", _parse_date, dt.date(2021, 11, 1)
-    )
-    horizon = _setting(args, config, "horizon", int, 120)
-    band = forecast.predict_wave(priors, start_date, horizon)
+    band = forecast.predict_wave(priors, args.start_date, args.horizon)
     out = _out_dir(args)
     with open(out / "forecast.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("date,lower,central,upper\n")
@@ -323,57 +333,42 @@ def cmd_forecast(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_finalsize(args, config) -> int:
-    out = None
-    did_something = False
+def cmd_finalsize(args) -> int:
+    if args.r0 is None and args.curve is None and args.table is None:
+        raise UsageError("finalsize needs --r0, --curve or --table")
     if args.r0 is not None:
-        result = finalsize.solve_final_size(args.r0)
-        _say(args, f"{result.r_f:.3f}")
-        did_something = True
+        _say(args, f"{finalsize.solve_final_size(args.r0).r_f:.3f}")
     if args.curve is not None:
-        lo, hi, points = _parse_grid_axis(args.curve)
-        results = finalsize.final_size_curve(lo, hi, points)
+        results = finalsize.final_size_curve(*args.curve)
         out = _out_dir(args)
         with open(out / "final_size_curve.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("r0,r_f\n")
             for r in results:
                 fh.write(f"{r.r0!r},{r.r_f!r}\n")
-        did_something = True
     if args.table is not None:
-        out = _out_dir(args)
+        # Every row is read and solved before the output file is opened, so a
+        # bad row leaves no partial table behind.
         with _open_input(args.table, "table") as fh:
-            rows = [r for r in csv.DictReader(fh)]
+            try:
+                rows = [(row["wave"], float(row["r0"])) for row in csv.DictReader(fh)]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SeriesError(f"{args.table}: expected wave,r0 rows") from exc
+        sizes = [finalsize.solve_final_size(r0).r_f for _, r0 in rows]
+        out = _out_dir(args)
         with open(out / "herd_immunity.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("wave,r0,r_f\n")
-            for row in rows:
-                try:
-                    label, r0 = row["wave"], float(row["r0"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SeriesError(f"{args.table}: expected wave,r0 rows") from exc
-                fh.write(f"{label},{r0!r},{finalsize.solve_final_size(r0).r_f!r}\n")
-        did_something = True
-    if not did_something:
-        raise UsageError("finalsize needs --r0, --curve or --table")
+            for (label, r0), r_f in zip(rows, sizes):
+                fh.write(f"{label},{r0!r},{r_f!r}\n")
     return EXIT_OK
 
 
-def cmd_simulate(args, config) -> int:
-    params = SeirParams(
-        beta=_setting(args, config, "beta", float, 0.23),
-        eta=_setting(args, config, "eta", float, 0.14),
-        epsilon=_setting(args, config, "epsilon", float, 3.0),
-    )
-    model = _setting(args, config, "model", str, "seir")
-    step = _setting(args, config, "step", float, DEFAULT_STEP)
-    seed = _setting(args, config, "seed_fraction", float, DEFAULT_SEED)
-    days = _setting(args, config, "days", int, 200)
-    traj = integrate(model, initial_state(model, seed), params, days, step)
+def cmd_simulate(args) -> int:
+    params = SeirParams(args.beta, args.eta, args.epsilon)
+    initial = initial_state(args.model, args.seed_fraction)
+    traj = integrate(args.model, initial, params, args.days, args.step)
     deaths = None
     if args.kappa is not None:
-        start_date = _setting(
-            args, config, "start_date", _parse_date, dt.date(2020, 3, 1)
-        )
-        deaths = daily_deaths(traj, args.kappa, start_date=start_date)
+        deaths = daily_deaths(traj, args.kappa, start_date=args.start_date)
     out = _out_dir(args)
     traj.to_csv(out / "trajectory.csv")
     if deaths is not None:
@@ -382,105 +377,98 @@ def cmd_simulate(args, config) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags win")
-    parser.add_argument("--out", help="output directory (default: current)")
-    parser.add_argument("--quiet", action="store_true")
-    parser.add_argument(
-        "--no-timestamp", action="store_true", help="omit timestamps from JSON metadata"
-    )
+_SOURCE = (Setting("--input", None), Setting("--fixture", None, str, fixtures.FIXTURES))
+_SEG = waves.SegmentationConfig  # its field defaults
+_SEGMENTATION = (
+    Setting("--start-threshold", "start_threshold", float, FINITE, _SEG.start_threshold),
+    Setting("--end-threshold", "end_threshold", float, FINITE, _SEG.end_threshold),
+    Setting("--min-persistence", "min_persistence_days", int, COUNT,
+            _SEG.min_persistence_days),
+    Setting("--min-wave-days", "min_wave_days", int, COUNT, _SEG.min_wave_days),
+)
+_FIT_DEFAULTS = inspect.signature(calibration.grid_search).parameters
+_DATE = dt.date.fromisoformat
 
-
-def _add_segmentation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--start-threshold", type=float, dest="start_threshold")
-    parser.add_argument("--end-threshold", type=float, dest="end_threshold")
-    parser.add_argument(
-        "--min-persistence", type=int, dest="min_persistence_days"
-    )
-    parser.add_argument("--min-wave-days", type=int, dest="min_wave_days")
+# name: (help, function, settings); the library supplies every default it has.
+COMMANDS = {
+    "excess": ("build excess-mortality series", cmd_excess, (
+        Setting("--reported", None, required=True),
+        Setting("--history", None, required=True, repeat=True),
+        Setting("--weights", "weights", _parse_floats, FINITE,
+                [w for _, w in mortality.DEFAULT_WEIGHTS]),
+        Setting("--smoothing", "smoothing", str, ("pre", "post", "none"), "pre"),
+    )),
+    "waves": ("segment an excess series into waves", cmd_waves,
+              _SOURCE + _SEGMENTATION),
+    "fit": ("grid-search SEIR parameters for one wave", cmd_fit, _SOURCE + (
+        Setting("--wave-index", "wave_index", int, None, 0),
+        Setting("--beta-grid", "beta_grid", _parse_axis, POSITIVE, GridSpec.beta_range),
+        Setting("--eta-grid", "eta_grid", _parse_axis, POSITIVE, GridSpec.eta_range),
+        Setting("--epsilon-grid", "epsilon_grid", _parse_axis, POSITIVE,
+                GridSpec.epsilon_range),
+        Setting("--metric", "metric", str, calibration.METRICS,
+                _FIT_DEFAULTS["metric"].default),
+        Setting("--top-k", "top_k", int, COUNT, _FIT_DEFAULTS["top_k"].default),
+    ) + _SEGMENTATION),
+    "forecast": ("predict the next wave with bounds", cmd_forecast, (
+        Setting("--prior-report", None, required=True, repeat=True),
+        Setting("--top-n", "top_n", int, COUNT, 10),
+        Setting("--start-date", "start_date", _DATE, None, dt.date(2021, 11, 1)),
+        Setting("--horizon", "horizon", int, COUNT, 120),
+    )),
+    "finalsize": ("solve the final-size equation", cmd_finalsize, (
+        Setting("--r0", None, float, FINITE),
+        Setting("--curve", None, _parse_axis, FINITE),
+        Setting("--table", None),
+    )),
+    "simulate": ("integrate SIR/SEIR and export CSV", cmd_simulate, (
+        Setting("--model", "model", str, ("sir", "seir"), "seir"),
+        Setting("--beta", "beta", float, POSITIVE, 0.23),
+        Setting("--eta", "eta", float, POSITIVE, 0.14),
+        Setting("--epsilon", "epsilon", float, POSITIVE, 3.0),
+        Setting("--days", "days", int, COUNT, 200),
+        Setting("--step", "step", float, POSITIVE, DEFAULT_STEP),
+        Setting("--seed-fraction", "seed_fraction", float, FINITE, DEFAULT_SEED),
+        Setting("--kappa", None, float, FINITE),
+        Setting("--start-date", "start_date", _DATE, None, dt.date(2020, 3, 1)),
+    )),
+}
+CONFIG_KEYS = frozenset(s.key for _, _, ss in COMMANDS.values() for s in ss if s.key)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="epiwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("excess", help="build excess-mortality series")
-    p.add_argument("--reported", required=True)
-    p.add_argument("--history", action="append", default=[], required=True)
-    p.add_argument("--weights", type=_parse_floats)
-    p.add_argument("--smoothing", choices=["pre", "post", "none"])
-    _add_common(p)
-    p.set_defaults(func=cmd_excess)
-
-    p = sub.add_parser("waves", help="segment an excess series into waves")
-    p.add_argument("--input")
-    p.add_argument("--fixture", choices=list(fixtures.FIXTURES))
-    _add_segmentation(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_waves)
-
-    p = sub.add_parser("fit", help="grid-search SEIR parameters for one wave")
-    p.add_argument("--input")
-    p.add_argument("--fixture", choices=list(fixtures.FIXTURES))
-    p.add_argument("--wave-index", type=int, dest="wave_index")
-    p.add_argument("--beta-grid", type=_parse_grid_axis, dest="beta_grid")
-    p.add_argument("--eta-grid", type=_parse_grid_axis, dest="eta_grid")
-    p.add_argument("--epsilon-grid", type=_parse_grid_axis, dest="epsilon_grid")
-    p.add_argument("--metric", choices=list(calibration.METRICS))
-    p.add_argument("--top-k", type=int, dest="top_k")
-    _add_segmentation(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("forecast", help="predict the next wave with bounds")
-    p.add_argument(
-        "--prior-report", action="append", default=[], required=True,
-        help="fit report CSV; repeat for several prior waves",
-    )
-    p.add_argument("--top-n", type=int, dest="top_n")
-    p.add_argument("--start-date", type=_parse_date, dest="start_date")
-    p.add_argument("--horizon", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("finalsize", help="solve the final-size equation")
-    p.add_argument("--r0", type=float)
-    p.add_argument("--curve", help="'r0_min,r0_max,points' sweep")
-    p.add_argument("--table", help="CSV of wave,r0 pairs")
-    _add_common(p)
-    p.set_defaults(func=cmd_finalsize)
-
-    p = sub.add_parser("simulate", help="integrate SIR/SEIR and export CSV")
-    p.add_argument("--model", choices=["sir", "seir"])
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--days", type=int)
-    p.add_argument("--step", type=float)
-    p.add_argument("--seed-fraction", type=float, dest="seed_fraction")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--start-date", type=_parse_date, dest="start_date")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
+    for name, (help_text, func, settings) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for s in settings:
+            p.add_argument(
+                s.flag, dest=s.dest, type=s.flag_type, required=s.required,
+                action="append" if s.repeat else "store", help=s.help or None,
+            )
+        p.add_argument("--config", help="key=value config file; flags win")
+        p.add_argument("--out", help="output directory (default: current)")
+        p.add_argument("--quiet", action="store_true")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit timestamps from JSON metadata")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; every error exits with the code of its category."""
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        return args.func(args, config)
+        args = build_parser().parse_args(argv)
+        _apply_config(args, _load_config(args.config), COMMANDS[args.command][2])
+        return args.func(args)
     except UsageError as exc:
-        print(f"epiwave: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_USAGE
     except SeriesError as exc:
-        print(f"epiwave: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, IntegrationError) as exc:
-        print(f"epiwave: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        error, code = exc, EXIT_PARSE
+    except (ValueError, IntegrationError, MemoryError) as exc:
+        error, code = exc, EXIT_INVARIANT
+    print(f"epiwave: {str(error) or type(error).__name__}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

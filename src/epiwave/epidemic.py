@@ -36,10 +36,6 @@ class SeirParams:
         if not (self.beta > 0 and self.eta > 0 and self.epsilon > 0):
             raise ValueError("all rates must be > 0")
 
-    @property
-    def incubation_days(self) -> float:
-        return 1.0 / self.epsilon
-
 
 def basic_reproduction(params: SeirParams) -> float:
     """R0 = beta / eta."""
@@ -124,9 +120,9 @@ def integrate(
     step: float = DEFAULT_STEP,
 ) -> Trajectory:
     """Classical 4th-order fixed-step integration from t=0 to t_end."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if t_end < step:
+    if not 0 < step < np.inf:
+        raise ValueError("step must be finite and > 0")
+    if not t_end >= step:
         raise ValueError("t_end must be >= step")
     seir = system == "seir"
     if not seir and system != "sir":

@@ -51,9 +51,6 @@ class DailySeries:
             raise SeriesError(f"{day} outside series range {self.start}..{self.end}")
         return i
 
-    def value_on(self, day: dt.date) -> float:
-        return float(self.values[self.index_of(day)])
-
     def window(self, first: dt.date, last: dt.date):
         """Sub-series covering [first, last] inclusive."""
         i, j = self.index_of(first), self.index_of(last)

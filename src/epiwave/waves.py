@@ -24,11 +24,12 @@ class SegmentationConfig:
     min_wave_days: int = 21
 
     def __post_init__(self):
-        if self.start_threshold < 0 or self.end_threshold < 0:
-            raise ValueError("thresholds must be >= 0")
+        thresholds = (self.start_threshold, self.end_threshold)
+        if not all(0 <= t < np.inf for t in thresholds):
+            raise ValueError("thresholds must be finite and >= 0")
         if self.end_threshold > self.start_threshold:
             raise ValueError("end_threshold must not exceed start_threshold")
-        if self.min_persistence_days < 1 or self.min_wave_days < 1:
+        if not (self.min_persistence_days >= 1 and self.min_wave_days >= 1):
             raise ValueError("persistence and wave-length minima must be >= 1")
 
 
@@ -119,10 +120,3 @@ def segment_waves(
             break
         pos = close_at + p
     return waves
-
-
-def wave_summary(segment: WaveSegment, excess: ExcessSeries) -> WaveSegment:
-    """Recompute duration and death-total fields from the series; idempotent."""
-    i0 = excess.index_of(segment.start_date)
-    i1 = excess.index_of(segment.end_date)
-    return _make_segment(excess, i0, i1)

@@ -55,6 +55,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(epsilon_range=(1.0, 2.0, 0))
 
+    @pytest.mark.parametrize("axis", [(np.inf, np.inf, 1), (0.1, np.inf, 3),
+                                      (np.nan, 0.2, 1)])
+    def test_non_finite_bounds_rejected(self, axis):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(epsilon_range=axis)
+
 
 class TestFitError:
     def test_self_fit_is_zero(self, wave):

@@ -388,3 +388,68 @@ def test_module_entry_point_prints_usage():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: epiwave")
+
+
+def test_bad_table_row_writes_no_table(tmp_path, capsys):
+    src = tmp_path / "r0s.csv"
+    src.write_text("wave,r0\na,2.5\nb,abc\n")
+    out = tmp_path / "out"
+    rc = main(["finalsize", "--table", str(src), "--out", str(out), "--quiet"])
+    assert rc == EXIT_PARSE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (out / "herd_immunity.csv").exists()
+
+
+TRIANGLE_FIT = ["fit", "--fixture", "triangle", "--beta-grid", "0.2,0.3,2",
+                "--eta-grid", "0.1,0.2,2", "--epsilon-grid", "3,3,1"]
+
+
+@pytest.mark.parametrize("argv, config, code, named", [
+    # a key that no command knows
+    (TRIANGLE_FIT, "wave_idx=1", EXIT_PARSE, "wave_idx"),
+    # a key of another command is ignored
+    (TRIANGLE_FIT, "smoothing=bogus\ntop_n=0", 0, None),
+    # outside its domain: a config value exits 2, a flag exits 4
+    (TRIANGLE_FIT, "metric=bogus", EXIT_PARSE, "metric"),
+    (TRIANGLE_FIT + ["--metric", "bogus"], None, EXIT_USAGE, "--metric"),
+    (TRIANGLE_FIT, "top_k=0", EXIT_PARSE, "top_k"),
+    (TRIANGLE_FIT + ["--top-k", "0"], None, EXIT_USAGE, "--top-k"),
+    (["simulate", "--days", "5"], "model=bogus", EXIT_PARSE, "model"),
+    (["waves", "--fixture", "triangle", "--start-threshold", "nan"], None,
+     EXIT_USAGE, "--start-threshold"),
+    (["waves", "--fixture", "triangle"], "end_threshold=nan", EXIT_PARSE,
+     "end_threshold"),
+    (TRIANGLE_FIT + ["--epsilon-grid", "inf,inf,1"], None, EXIT_USAGE,
+     "--epsilon-grid"),
+    (["simulate", "--step", "nan"], None, EXIT_USAGE, "--step"),
+    (["finalsize", "--r0", "nan"], None, EXIT_USAGE, "--r0"),
+    # values that each hold but do not fit together
+    (TRIANGLE_FIT + ["--beta-grid", "0.3,0.2,3"], None, EXIT_INVARIANT, None),
+    (["simulate", "--days", "5"], "step=0.3\nkappa_is_not_a_key=1", EXIT_PARSE,
+     "kappa_is_not_a_key"),
+    (["simulate", "--days", "5", "--kappa", "1"], "step=0.3", EXIT_INVARIANT, None),
+])
+def test_exit_code_by_category(tmp_path, capsys, argv, config, code, named):
+    extra = []
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    rc = main(argv + extra + ["--out", str(tmp_path / "o"), "--no-timestamp", "--quiet"])
+    assert rc == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("epiwave: ") and err.count("\n") == 1
+    if named:
+        assert named in err
+
+
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate")])
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    def grid_search(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(epiwave.calibration, "grid_search", grid_search)
+    assert main(TRIANGLE_FIT + ["--out", str(tmp_path), "--quiet"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("epiwave: ") and err.count("\n") == 1
+    assert len(err.strip()) > len("epiwave:")

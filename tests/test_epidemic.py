@@ -154,6 +154,10 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate("sird", initial_state("seir"), WAVE1_PARAMS, 10, 0.05)
 
+    def test_nan_step_rejected_by_name(self):
+        with pytest.raises(ValueError, match="step"):
+            integrate("seir", initial_state("seir"), WAVE1_PARAMS, 10, float("nan"))
+
 
 class TestDailyDeaths:
     def test_disease_free_all_zero(self):
@@ -191,7 +195,6 @@ def test_params_validation():
         SeirParams(beta=0.0, eta=0.1, epsilon=3.0)
     with pytest.raises(ValueError):
         SeirParams(beta=0.2, eta=-0.1, epsilon=3.0)
-    assert SeirParams(0.2, 0.1, 4.0).incubation_days == 0.25
 
 
 def test_state_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiwave.finalsize import final_size_curve, solve_final_size
 from reference_values import HERD_IMMUNITY_PAIRS
@@ -47,6 +48,13 @@ def test_agrees_with_fixed_point_oracle():
 def test_monotone_in_r0():
     values = [solve_final_size(r0).r_f for r0 in np.linspace(1.01, 8.0, 50)]
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 60.0), st.floats(0.0, 60.0))
+def test_r_f_is_monotone_in_r0(a, b):
+    lo, hi = sorted((a, b))
+    assert solve_final_size(lo).r_f <= solve_final_size(hi).r_f
 
 
 def test_limit_toward_one():

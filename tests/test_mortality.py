@@ -92,7 +92,7 @@ class TestExpectedDeaths:
         h.values[feb28] = 10.0
         h.values[mar1] = 30.0
         out = expected_deaths([h], BaselineWeights.from_weights([1.0]), 2020)
-        assert out.value_on(dt.date(2020, 2, 29)) == pytest.approx(20.0)
+        assert out.values[out.index_of(dt.date(2020, 2, 29))] == pytest.approx(20.0)
 
     def test_single_history_weight_one_identity(self):
         h = const_year(2019, 0.0)

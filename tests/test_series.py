@@ -1,7 +1,10 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiwave.series import (
     DailyCountSeries,
@@ -85,11 +88,28 @@ def test_round_trip(tmp_path):
     assert np.array_equal(back.values, s.values)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.dates(dt.date(1900, 1, 1), dt.date(2100, 1, 1)),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=40),
+       st.sampled_from([(DailyCountSeries, load_series), (ExcessSeries, load_excess)]))
+def test_save_load_round_trips_exactly(start, values, kind):
+    cls, load = kind
+    if not cls.allow_negative:
+        values = [abs(v) for v in values]
+    series = cls(start=start, values=np.array(values))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_series(series, Path(tmp) / "s.csv")
+        back = load(Path(tmp) / "s.csv")
+    assert type(back) is cls and back.start == series.start
+    assert back.values.tobytes() == series.values.tobytes()
+
+
 def test_window_and_lookup():
     s = DailyCountSeries(start=dt.date(2020, 1, 1), values=np.arange(10.0))
     w = s.window(dt.date(2020, 1, 3), dt.date(2020, 1, 5))
     assert np.array_equal(w.values, [2.0, 3.0, 4.0])
-    assert s.value_on(dt.date(2020, 1, 10)) == 9.0
+    assert s.values[s.index_of(dt.date(2020, 1, 10))] == 9.0
     with pytest.raises(SeriesError):
         s.index_of(dt.date(2020, 1, 11))
 

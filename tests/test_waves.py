@@ -2,10 +2,11 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epiwave.fixtures import synthetic_istanbul, triangle_excess
 from epiwave.series import ExcessSeries, SeriesError
-from epiwave.waves import SegmentationConfig, WaveSegment, segment_waves, wave_summary
+from epiwave.waves import SegmentationConfig, segment_waves
 
 TRI_CFG = SegmentationConfig(
     start_threshold=5, end_threshold=5, min_persistence_days=3, min_wave_days=21
@@ -88,30 +89,28 @@ def test_negative_days_floored_in_totals():
     assert seg.total_deaths == 39 * 30.0  # the negative day contributes 0
 
 
+# The lowest thresholds that still open a wave on any positive day.
+ANY_CFG = SegmentationConfig(
+    start_threshold=0, end_threshold=0, min_persistence_days=1, min_wave_days=1
+)
+
+
 class TestWaveSummary:
     def test_two_day_split_convention(self):
         # peak day deaths count toward the fall side
-        s = excess([3.0, 5.0])
-        seg = WaveSegment(
-            start_date=s.start,
-            peak_date=s.start + dt.timedelta(days=1),
-            end_date=s.start + dt.timedelta(days=1),
-            rise_days=1, fall_days=0, total_days=1,
-            deaths_to_peak=0, deaths_after_peak=0, total_deaths=0,
-        )
-        out = wave_summary(seg, s)
-        assert out.deaths_to_peak == 3.0
-        assert out.deaths_after_peak == 5.0
-        assert out.total_deaths == 8.0
+        (seg,) = segment_waves(excess([0.0, 3.0, 5.0, 0.0]), ANY_CFG)
+        assert (seg.rise_days, seg.fall_days, seg.total_days) == (1, 0, 1)
+        assert seg.deaths_to_peak == 3.0
+        assert seg.deaths_after_peak == 5.0
+        assert seg.total_deaths == 8.0
 
     def test_idempotent_and_partitioned(self):
         tri = triangle_excess()
         (seg,) = segment_waves(tri, TRI_CFG)
-        once = wave_summary(seg, tri)
-        twice = wave_summary(once, tri)
-        assert once == twice
-        assert once.total_deaths == pytest.approx(
-            once.deaths_to_peak + once.deaths_after_peak, abs=1e-9
+        # segmenting the wave's own span again finds the same wave
+        assert segment_waves(tri.window(seg.start_date, seg.end_date), TRI_CFG) == [seg]
+        assert seg.total_deaths == pytest.approx(
+            seg.deaths_to_peak + seg.deaths_after_peak, abs=1e-9
         )
 
     def test_symmetric_wave_near_even_split(self):
@@ -121,26 +120,33 @@ class TestWaveSummary:
         assert abs(seg.deaths_to_peak - seg.deaths_after_peak) <= tri.values.max()
 
     def test_all_zero_span(self):
-        s = excess(np.zeros(10))
-        seg = WaveSegment(
-            start_date=s.start, peak_date=s.start,
-            end_date=s.start + dt.timedelta(days=9),
-            rise_days=0, fall_days=9, total_days=9,
-            deaths_to_peak=0, deaths_after_peak=0, total_deaths=0,
-        )
-        out = wave_summary(seg, s)
-        assert out.total_deaths == 0.0
+        # no day of an all-zero span lies above even a zero threshold
+        assert segment_waves(excess(np.zeros(10)), ANY_CFG) == []
 
     def test_segment_outside_series_is_error(self):
         s = excess(np.ones(10))
-        seg = WaveSegment(
-            start_date=s.start, peak_date=s.start,
-            end_date=s.start + dt.timedelta(days=30),
-            rise_days=0, fall_days=30, total_days=30,
-            deaths_to_peak=0, deaths_after_peak=0, total_deaths=0,
-        )
         with pytest.raises(SeriesError):
-            wave_summary(seg, s)
+            s.values[s.index_of(s.start + dt.timedelta(days=30))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-50.0, 200.0), min_size=1, max_size=150),
+       st.floats(0.0, 100.0), st.floats(0.0, 1.0), st.integers(1, 5),
+       st.integers(1, 30))
+def test_waves_ordered_disjoint_and_partitioned(values, start, ratio, persist, length):
+    series = excess(values)
+    cfg = SegmentationConfig(start_threshold=start, end_threshold=start * ratio,
+                             min_persistence_days=persist, min_wave_days=length)
+    segments = segment_waves(series, cfg)
+    for seg in segments:
+        assert seg.rise_days + seg.fall_days == seg.total_days >= length
+        assert seg.start_date <= seg.peak_date <= seg.end_date
+        i0, i1 = series.index_of(seg.start_date), series.index_of(seg.end_date)
+        span = np.maximum(series.values[i0 : i1 + 1], 0.0)
+        assert seg.total_deaths == seg.deaths_to_peak + seg.deaths_after_peak
+        assert seg.total_deaths == pytest.approx(span.sum(), rel=1e-12)
+    for a, b in zip(segments, segments[1:]):
+        assert a.end_date < b.start_date
 
 
 def test_config_validation():
@@ -150,3 +156,15 @@ def test_config_validation():
         SegmentationConfig(min_persistence_days=0)
     with pytest.raises(ValueError):
         SegmentationConfig(start_threshold=-1, end_threshold=-1)
+
+
+@pytest.mark.parametrize("config", [
+    dict(start_threshold=np.nan),
+    dict(end_threshold=np.nan),
+    dict(start_threshold=np.nan, end_threshold=np.nan),
+    dict(start_threshold=np.inf),
+    dict(min_wave_days=np.nan),
+])
+def test_non_finite_settings_rejected(config):
+    with pytest.raises(ValueError):
+        SegmentationConfig(**config)
