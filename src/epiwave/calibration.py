@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import DEFAULT_SEED, DEFAULT_STEP, SeirBank, SeirParams
+from .epidemic import DEFAULT_SEED, DEFAULT_STEP, IntegrationError, SeirBank, SeirParams
 from .series import DailyCountSeries
 
 METRICS = ("nrmse-peak", "cum-mape")
@@ -177,14 +177,18 @@ def _check_inputs(observed: DailyCountSeries, metric, step, seed) -> np.ndarray:
 
 
 def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
-    """(errors, kappas) of one bank of cells, scored ``_SCORE_ROWS`` at a time."""
+    """(errors, kappas) of one bank of cells, scored ``_SCORE_ROWS`` at a time.
+
+    A cell that blows up scores an infinite error, without a warning.
+    """
     bank = SeirBank(beta, eta, epsilon)
-    dd = _model_curves(bank, obs, horizon, step, seed)
     n = bank.beta.size
     errors, kappas = np.empty(n), np.empty(n)
-    for first in range(0, n, _SCORE_ROWS):
-        rows = slice(first, first + _SCORE_ROWS)
-        errors[rows], kappas[rows] = _score(dd[rows], obs, metric)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = _model_curves(bank, obs, horizon, step, seed)
+        for first in range(0, n, _SCORE_ROWS):
+            rows = slice(first, first + _SCORE_ROWS)
+            errors[rows], kappas[rows] = _score(dd[rows], obs, metric)
     return errors, kappas
 
 
@@ -239,7 +243,10 @@ def grid_search(
     step: float = DEFAULT_STEP,
     seed: float = DEFAULT_SEED,
 ) -> FitReport:
-    """Exhaustive scan of the grid; deterministic collect-then-sort ranking."""
+    """Exhaustive scan of the grid; deterministic collect-then-sort ranking.
+
+    Raises IntegrationError when no cell has a finite error.
+    """
     if grid is None:
         grid = GridSpec()
     if top_k < 1:
@@ -258,6 +265,8 @@ def grid_search(
     jobs = [(B[c], H[c], X[c], obs, horizon, step, seed, metric) for c in banks]
     for cells, (bank_errors, bank_kappas) in zip(banks, _map_banks(jobs)):
         errors[cells], kappas[cells] = bank_errors, bank_kappas
+    if not np.isfinite(errors).any():
+        raise IntegrationError("no grid cell has a finite error; check step and rates")
 
     # Ascending error; ties broken lexicographically by (beta, eta, epsilon).
     order = np.lexsort((X, H, B, errors))

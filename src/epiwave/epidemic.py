@@ -134,8 +134,8 @@ def integrate(
     y = np.zeros((4, 1))
     y[rows, 0] = initial.as_array()
     y[0] = -y[0]
-    rates = np.array([[params.eta], [params.epsilon]])
-    advance = _rk4_stepper(y, np.array([-params.beta]), rates, step, seir)
+    rates = np.array([[-params.beta], [params.epsilon], [params.eta]])
+    advance = _rk4_stepper(y, rates, step, seir)
     block = np.empty((n_steps + 1, 4, 1))
     block[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,65 +159,63 @@ def _steps_per_day(step: float) -> int:
     return per_day
 
 
-def _rk4_stepper(y, neg_beta, rates, step: float, seir: bool = True):
+def _rk4_stepper(y, rates, step: float, seir: bool = True):
     """A function advancing the (4, m) state block ``y`` by n RK4 steps in place.
 
-    ``y`` rows are -S, E, I, R and ``rates`` rows are eta and epsilon.  S is
-    carried negated and the middle two RK4 stages work on doubled slopes
+    ``y`` rows are -S, E, I, R and ``rates`` rows are -beta, epsilon, eta.
+    S is carried negated and the middle two RK4 stages work on doubled slopes
     (from doubled rates), so every stage input and every sum of the classical
     scheme is one operation on a block.  Negation and doubling are exact, so
-    each value is bit-identical to classical RK4 on S, E, I, R.  Without
-    ``seir`` the block runs SIR: the force feeds I in place of epsilon * E,
-    and an E row of 0 stays 0, as force - force = 0.
+    each value is bit-identical to classical RK4 on S, E, I, R.
+
+    Slope block rows are the derivative of y: F = beta*S*I = -S', E', I', R'.
+    ``rates`` times the stage rows -S, E, I puts beta*S, epsilon*E and eta*I
+    in rows 1-3; then row 0 gets F, row 1 E' = F - epsilon*E and row 2
+    I' = epsilon*E - eta*I.  SIR runs E' = F - F, so an E row of 0 stays 0,
+    and I' = F - eta*I.  On small blocks a step costs numpy's per-call
+    dispatch, so its 27 calls take only C-contiguous blocks and rows, 0-d
+    constants and positional ``out``: numpy dispatches those fastest.
     """
     m = y.shape[1]
-    half, quarter, sixth = 0.5 * step, 0.25 * step, step / 6.0
-    double_rates = 2.0 * rates
-    single = neg_beta, rates, rates[0]
-    double = 2.0 * neg_beta, double_rates, double_rates[0]
-    # Slope block rows: force F = -S', E', I', removal R', transfer; rows
-    # 0-3 are the derivative of y.
-    total, slope = np.empty((5, m)), np.empty((5, m))
+    half, quarter, sixth = map(np.array, (0.5 * step, 0.25 * step, step / 6.0))
+    double = 2.0 * rates
+    total, slope = np.empty((4, m)), np.empty((4, m))
     stage, tmp = np.empty((3, m)), np.empty((3, m))
-    y3, total3, total4 = y[:3], total[:3], total[:4]
-    slope3, slope4 = slope[:3], slope[:4]
-    y_views = y[0], y[2], y[2:0:-1]
-    stage_views = stage[0], stage[2], stage[2:0:-1]
-    total_views = total[0], total[1], total[2], total[3], total[4], total[3:5]
-    slope_views = slope[0], slope[1], slope[2], slope[3], slope[4], slope[3:5]
+    y3, total3, slope3 = y[:3], total[:3], slope[:3]
+    y_in, stage_in = (y3, y[2]), (stage, stage[2])
+    total_out = total[1:], total[0], total[1], total[2], total[3]
+    slope_out = slope[1:], slope[0], slope[1], slope[2], slope[3]
     mul, add, sub = np.multiply, np.add, np.subtract
 
-    def rhs(state, params, out):
-        neg_s, i, i_e = state
-        neg_beta, rates, eta = params
-        force, d_e, d_i, removal, transfer, removal_transfer = out
-        mul(neg_beta, neg_s, out=force)
-        mul(force, i, out=force)
+    def rhs(state, rates, out):
+        block, i = state
+        products, force, d_e, d_i, removal = out
+        mul(rates, block, products)  # beta*S, epsilon*E, eta*I
+        mul(d_e, i, force)
         if seir:
-            mul(rates, i_e, out=removal_transfer)
+            sub(force, d_i, d_e)
+            sub(d_i, removal, d_i)
         else:
-            mul(eta, i, out=removal)
-            transfer = force
-        sub(force, transfer, out=d_e)
-        sub(transfer, removal, out=d_i)
+            sub(force, force, d_e)
+            sub(force, removal, d_i)
 
     def advance(n_steps: int):
         for _ in range(n_steps):
-            rhs(y_views, single, total_views)
-            mul(total3, half, out=tmp)
-            add(y3, tmp, out=stage)
-            rhs(stage_views, double, slope_views)
-            add(total4, slope4, out=total4)
-            mul(slope3, quarter, out=tmp)
-            add(y3, tmp, out=stage)
-            rhs(stage_views, double, slope_views)
-            add(total4, slope4, out=total4)
-            mul(slope3, half, out=tmp)
-            add(y3, tmp, out=stage)
-            rhs(stage_views, single, slope_views)
-            add(total4, slope4, out=total4)
-            mul(total4, sixth, out=total4)
-            add(y, total4, out=y)
+            rhs(y_in, rates, total_out)
+            mul(total3, half, tmp)
+            add(y3, tmp, stage)
+            rhs(stage_in, double, slope_out)
+            add(total, slope, total)
+            mul(slope3, quarter, tmp)
+            add(y3, tmp, stage)
+            rhs(stage_in, double, slope_out)
+            add(total, slope, total)
+            mul(slope3, half, tmp)
+            add(y3, tmp, stage)
+            rhs(stage_in, rates, slope_out)
+            add(total, slope, total)
+            mul(total, sixth, total)
+            add(y, total, y)
 
     return advance
 
@@ -273,8 +271,8 @@ class SeirBank:
         y[0] = -(1.0 - 2.0 * seed)
         y[1:3] = seed
         y[3] = 0.0
-        neg_beta, rates = -self.beta, np.stack([self.eta, self.epsilon])
-        advance = _rk4_stepper(y, neg_beta, rates, step)
+        rates = np.stack([-self.beta, self.epsilon, self.eta])
+        advance = _rk4_stepper(y, rates, step)
         r_prev = np.zeros(n)
         cells = np.arange(n)
         peak_value = np.full(n, -1.0)
@@ -288,7 +286,7 @@ class SeirBank:
             if after_peak is not None:
                 # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0
                 # wherever I' = 0: once I' < 0 as well, I falls for good.
-                eta, epsilon = rates
+                neg_beta, epsilon, eta = rates
                 falling = (stable & (neg_beta * y[0] < eta)
                            & (epsilon * y[1] < eta * y[2]))
             advance(per_day)
@@ -307,11 +305,11 @@ class SeirBank:
                 keep = ~stopped
                 if not keep.any():
                     break
-                y, neg_beta, rates = y[:, keep], neg_beta[keep], rates[:, keep]
+                y, rates = y[:, keep], rates[:, keep]
                 r_prev, cells = r_prev[keep], cells[keep]
                 peak_value, peak_day = peak_value[keep], peak_day[keep]
                 stopped, stable = stopped[keep], stable[keep]
-                advance = _rk4_stepper(y, neg_beta, rates, step)
+                advance = _rk4_stepper(y, rates, step)
         return daily
 
 

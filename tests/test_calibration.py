@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from epiwave.calibration import (
     fit_error,
     grid_search,
 )
-from epiwave.epidemic import SeirParams
+from epiwave.epidemic import IntegrationError, SeirParams
 from epiwave.fixtures import synthetic_wave
 from epiwave.series import DailyCountSeries
 
@@ -126,6 +127,19 @@ class TestGridSearch:
         report = grid_search(wave, grid, top_k=10)
         assert len(report.candidates) == 1
         assert report.candidates[0].error_pct < 1e-9
+
+    def test_blown_up_cells_score_inf_without_warnings(self, wave):
+        # epsilon * step = 5000 lies far outside RK4's stability region.
+        grid = GridSpec((0.22, 0.24, 2), (0.13, 0.15, 2), (3.0, 1e5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = grid_search(wave, grid, top_k=grid.n_cells)
+            errors = [c.error_pct for c in report.candidates]
+            assert np.isfinite(errors[:4]).all() and np.isinf(errors[4:]).all()
+            assert {c.params.epsilon for c in report.candidates[4:]} == {1e5}
+            with pytest.raises(IntegrationError, match="no grid cell"):
+                grid_search(wave, GridSpec(grid.beta_range, grid.eta_range,
+                                           (1e5, 1e5, 1)))
 
     def test_tie_break_is_lexicographic(self, wave, monkeypatch):
         # force every cell to the same score; ranking must fall back to

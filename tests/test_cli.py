@@ -380,12 +380,18 @@ def test_data_dir_env_resolves_bare_names(tmp_path, monkeypatch):
     assert json.loads((out / "waves.json").read_text()) == []
 
 
-def test_module_entry_point_prints_usage():
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """``python -m epiwave.cli`` in a fresh interpreter, so that stderr is
+    what a user sees, warnings included."""
     src = str(Path(epiwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "epiwave.cli", "--help"],
+    return subprocess.run([sys.executable, "-m", "epiwave.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_prints_usage():
+    done = run_module("--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: epiwave")
 
@@ -453,3 +459,13 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert err.startswith("epiwave: ") and err.count("\n") == 1
     assert len(err.strip()) > len("epiwave:")
+
+
+def test_fit_with_every_cell_blown_up_exits_3(tmp_path):
+    out = tmp_path / "out"
+    done = run_module(*TRIANGLE_FIT, "--epsilon-grid", "100000,100000,1",
+                      "--out", str(out), "--quiet")
+    assert done.returncode == EXIT_INVARIANT
+    assert done.stderr.startswith("epiwave: ") and done.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in done.stderr
+    assert not (out / "fit_report.csv").exists()

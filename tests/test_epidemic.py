@@ -1,3 +1,4 @@
+import collections
 import datetime as dt
 
 import numpy as np
@@ -157,6 +158,56 @@ class TestIntegrate:
     def test_nan_step_rejected_by_name(self):
         with pytest.raises(ValueError, match="step"):
             integrate("seir", initial_state("seir"), WAVE1_PARAMS, 10, float("nan"))
+
+
+class CountingNumpy:
+    """numpy, except that each multiply, add and subtract call is counted by
+    ufunc name and operand kinds: 'contiguous' or 'strided' for an array, the
+    type name for anything else."""
+
+    COUNTED = ("multiply", "add", "subtract")
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        func = getattr(np, name)
+        if name not in self.COUNTED:
+            return func
+
+        def counted(*args, **kwargs):
+            kinds = tuple(
+                ("contiguous" if a.flags.c_contiguous else "strided")
+                if isinstance(a, np.ndarray) else type(a).__name__
+                for a in (*args, *kwargs.values())
+            )
+            self.calls[name, kinds] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("system", ["seir", "sir"])
+def test_rk4_step_dispatch_budget(system, monkeypatch):
+    """A step makes at most 27 numpy calls, on C-contiguous arrays only.
+
+    On small blocks a step's cost is numpy's per-call dispatch, which rises
+    with every call and with each strided or Python-float operand.  The calls
+    of 100 steps are those of a 101-step run less those of a 1-step run.
+    """
+    counting = CountingNumpy()
+    monkeypatch.setattr("epiwave.epidemic.np", counting)
+
+    def calls(n_steps):
+        counting.calls.clear()
+        step = 0.25  # exact in binary, so t_end / step is n_steps exactly
+        integrate(system, initial_state(system), WAVE1_PARAMS, n_steps * step, step)
+        return collections.Counter(counting.calls)
+
+    hundred_steps = calls(101) - calls(1)
+    assert sum(hundred_steps.values()) <= 27 * 100
+    for name, kinds in hundred_steps:
+        assert "strided" not in kinds and "float" not in kinds, (name, kinds)
 
 
 class TestDailyDeaths:
