@@ -14,6 +14,7 @@ run their banks on one worker process per usable CPU where ``fork`` exists.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ METRICS = ("nrmse-peak", "cum-mape")
 
 _CHUNK = 8192  # cells per bank: keeps the kernel's working set in L2
 _SCORE_ROWS = 512  # cells per _score call: keeps its temporaries small
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 @dataclass(frozen=True)
@@ -192,12 +194,32 @@ def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
     return errors, kappas
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker when the process that forked it ends.
+
+    Otherwise a worker outlives a parent killed by a signal, re-parented to
+    init and holding its bank's memory.  Linux kills it on request; if the
+    request fails, the worker only lacks that guard.
+    """
+    if sys.platform == "linux":
+        import ctypes
+        import signal
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    # The parent may have ended before the request took effect.
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _map_banks(jobs):
     """``_bank_scores`` of each job, on one worker process per usable CPU.
 
     Where there is one CPU, one bank or no ``fork``, the banks run in this
-    process.  The pool modules are imported only when a pool starts, so that
-    they add nothing to the import of epiwave.
+    process.  Each worker ends with this process.  The pool modules are
+    imported only when a pool starts, so that they add nothing to the import
+    of epiwave.
     """
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
     workers = min(len(usable), len(jobs))
@@ -210,7 +232,9 @@ def _map_banks(jobs):
             # fork, not spawn: spawn re-imports __main__ and starts a fresh
             # interpreter per worker.
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context,
+                                     initializer=_exit_with_parent,
+                                     initargs=(os.getpid(),)) as pool:
                 return list(pool.map(_bank_scores, *zip(*jobs)))
     return list(map(_bank_scores, *zip(*jobs)))
 

@@ -1,8 +1,10 @@
-"""SIR and SEIR compartmental models with one fixed-step RK4 stepper.
+"""SIR and SEIR compartmental models on one fixed-step RK4 scheme.
 
 ``integrate`` runs one trajectory; ``SeirBank`` runs many SEIR parameter sets
 side by side for the grid search, the forecast bands and the synthetic waves.
-Both advance the same (-S, E, I, R) block with ``_rk4_stepper``.
+Both step the same (-S, E, I, R) state with the same IEEE operations: one cell
+at a time in plain floats (``_cell_rk4``) for a trajectory and a narrow bank,
+as one numpy block (``_rk4_stepper``) for a wide bank.
 
 Compartments are population fractions.  R0 = beta/eta.  The observation
 map renders daily deaths as the daily increment of the removed compartment
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -20,6 +23,10 @@ from .series import DailyCountSeries
 DEFAULT_STEP = 0.05  # days
 DEFAULT_SEED = 1e-5  # initial infected/exposed fraction
 _EPOCH = dt.date(2020, 1, 1)  # nominal anchor when no calendar date applies
+# Widest block stepped cell by cell in plain floats.  On a shared 2-core Xeon
+# VM a float step cost 1.3-1.5 us per cell and a numpy step 13-17 us on 1 to
+# 13 cells; the two met between 10 and 13 cells in three runs.
+_SCALAR_CELLS = 10
 
 
 class IntegrationError(RuntimeError):
@@ -131,18 +138,14 @@ def integrate(
     rows = [0, 1, 2, 3] if seir else [0, 2, 3]
 
     n_steps = int(np.floor(t_end / step + 1e-9))
-    y = np.zeros((4, 1))
-    y[rows, 0] = initial.as_array()
+    y = np.zeros(4)
+    y[rows] = initial.as_array()
     y[0] = -y[0]
-    rates = np.array([[-params.beta], [params.epsilon], [params.eta]])
-    advance = _rk4_stepper(y, rates, step, seir)
-    block = np.empty((n_steps + 1, 4, 1))
-    block[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
-            advance(1)
-            block[i] = y
-    states = block[:, rows, 0]
+    start = y.tolist()
+    cell = _cell_rk4(start, (-params.beta, params.epsilon, params.eta), step, seir)
+    # Streamed into the array: a list of per-step tuples would hold ~1 MB.
+    flat = chain(start, chain.from_iterable(islice(cell, n_steps)))
+    states = np.fromiter(flat, float, 4 * (n_steps + 1)).reshape(-1, 4)[:, rows]
     # 0 - (-S) restores S exactly and, unlike negation, keeps S = 0 at +0.
     np.subtract(0.0, states[:, 0], out=states[:, 0])
     if not np.all(np.isfinite(states)):
@@ -159,8 +162,48 @@ def _steps_per_day(step: float) -> int:
     return per_day
 
 
-def _rk4_stepper(y, rates, step: float, seir: bool = True):
-    """A function advancing the (4, m) state block ``y`` by n RK4 steps in place.
+def _cell_rk4(state, rates, step: float, seir: bool = True):
+    """Yield one cell's (-S, E, I, R) after each RK4 step, in plain floats.
+
+    ``state`` is (-S, E, I, R) and ``rates`` is (-beta, epsilon, eta).  Each
+    step does the IEEE operations of one column of ``_rk4_stepper``'s block
+    step, on the same operands in the same order, so the two agree bit for
+    bit.  SIR takes F for epsilon*E, which makes E' = F - F and
+    I' = F - eta*I; its E stays 0.
+    """
+    s, e, i, r = state
+    neg_beta, epsilon, eta = rates
+    neg_beta2, epsilon2, eta2 = 2.0 * neg_beta, 2.0 * epsilon, 2.0 * eta
+    half, quarter, sixth = 0.5 * step, 0.25 * step, step / 6.0
+    while True:
+        f = neg_beta * s * i
+        x = epsilon * e if seir else f
+        k_r = eta * i
+        k_s, k_e, k_i = f, f - x, x - k_r
+        s1, e1, i1 = s + k_s * half, e + k_e * half, i + k_i * half
+        f = neg_beta2 * s1 * i1
+        x = epsilon2 * e1 if seir else f
+        d_r = eta2 * i1
+        d_e, d_i = f - x, x - d_r
+        k_s, k_e, k_i, k_r = k_s + f, k_e + d_e, k_i + d_i, k_r + d_r
+        s1, e1, i1 = s + f * quarter, e + d_e * quarter, i + d_i * quarter
+        f = neg_beta2 * s1 * i1
+        x = epsilon2 * e1 if seir else f
+        d_r = eta2 * i1
+        d_e, d_i = f - x, x - d_r
+        k_s, k_e, k_i, k_r = k_s + f, k_e + d_e, k_i + d_i, k_r + d_r
+        s1, e1, i1 = s + f * half, e + d_e * half, i + d_i * half
+        f = neg_beta * s1 * i1
+        x = epsilon * e1 if seir else f
+        d_r = eta * i1
+        d_e, d_i = f - x, x - d_r
+        k_s, k_e, k_i, k_r = k_s + f, k_e + d_e, k_i + d_i, k_r + d_r
+        s, e, i, r = s + k_s * sixth, e + k_e * sixth, i + k_i * sixth, r + k_r * sixth
+        yield s, e, i, r
+
+
+def _rk4_stepper(y, rates, step: float):
+    """A function advancing the (4, m) SEIR block ``y`` by n RK4 steps in place.
 
     ``y`` rows are -S, E, I, R and ``rates`` rows are -beta, epsilon, eta.
     S is carried negated and the middle two RK4 stages work on doubled slopes
@@ -168,15 +211,32 @@ def _rk4_stepper(y, rates, step: float, seir: bool = True):
     scheme is one operation on a block.  Negation and doubling are exact, so
     each value is bit-identical to classical RK4 on S, E, I, R.
 
-    Slope block rows are the derivative of y: F = beta*S*I = -S', E', I', R'.
-    ``rates`` times the stage rows -S, E, I puts beta*S, epsilon*E and eta*I
-    in rows 1-3; then row 0 gets F, row 1 E' = F - epsilon*E and row 2
-    I' = epsilon*E - eta*I.  SIR runs E' = F - F, so an E row of 0 stays 0,
-    and I' = F - eta*I.  On small blocks a step costs numpy's per-call
-    dispatch, so its 27 calls take only C-contiguous blocks and rows, 0-d
-    constants and positional ``out``: numpy dispatches those fastest.
+    A block of at most ``_SCALAR_CELLS`` cells steps each cell in plain floats
+    with ``_cell_rk4``: a numpy step costs the dispatch of its calls, about
+    15 us on any small width, and a float step about 1.4 us per cell.  The
+    block's columns are read once per call and written back once.
+
+    On wider blocks, slope block rows are the derivative of y:
+    F = beta*S*I = -S', E', I', R'.  ``rates`` times the stage rows -S, E, I
+    puts beta*S, epsilon*E and eta*I in rows 1-3; then row 0 gets F, row 1
+    E' = F - epsilon*E and row 2 I' = epsilon*E - eta*I.  A step's 27 calls
+    take only C-contiguous blocks and rows, 0-d constants and positional
+    ``out``: numpy dispatches those fastest.
     """
     m = y.shape[1]
+    if m <= _SCALAR_CELLS:
+        cell_rates = rates.T.tolist()
+
+        def advance_cells(n_steps: int):
+            states = y.T.tolist()
+            for j, cell in enumerate(cell_rates):
+                # Runs the cell n steps and leaves its last state in states[j].
+                for states[j] in islice(_cell_rk4(states[j], cell, step), n_steps):
+                    pass
+            y.T[:] = np.reshape(states, (m, 4))
+
+        return advance_cells
+
     half, quarter, sixth = map(np.array, (0.5 * step, 0.25 * step, step / 6.0))
     double = 2.0 * rates
     total, slope = np.empty((4, m)), np.empty((4, m))
@@ -192,12 +252,8 @@ def _rk4_stepper(y, rates, step: float, seir: bool = True):
         products, force, d_e, d_i, removal = out
         mul(rates, block, products)  # beta*S, epsilon*E, eta*I
         mul(d_e, i, force)
-        if seir:
-            sub(force, d_i, d_e)
-            sub(d_i, removal, d_i)
-        else:
-            sub(force, force, d_e)
-            sub(force, removal, d_i)
+        sub(force, d_i, d_e)
+        sub(d_i, removal, d_i)
 
     def advance(n_steps: int):
         for _ in range(n_steps):

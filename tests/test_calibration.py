@@ -1,7 +1,9 @@
 import concurrent.futures
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -280,15 +282,59 @@ class TestBankPool:
         assert pools == []
 
     def test_import_leaves_pool_modules_out(self):
-        src = str(Path(epiwave.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, epiwave; print(sorted(m for m in sys.modules"
                 " if m.startswith(('multiprocessing', 'concurrent'))))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=60)
+                              text=True, env=epiwave_env(), timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    @pytest.mark.skipif(
+        not (sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1),
+        reason="workers start only with two usable CPUs; Linux lists them")
+    def test_workers_end_with_a_killed_parent(self):
+        # 20,000 cells on a 400-day horizon: three banks, each seconds long.
+        code = ("from epiwave import GridSpec, SeirParams, grid_search\n"
+                "from epiwave.fixtures import synthetic_wave\n"
+                "wave = synthetic_wave(SeirParams(0.23, 0.14, 3.0), kappa=1e4)\n"
+                "grid = GridSpec((0.15, 0.35, 100), (0.05, 0.2, 100), (2, 5, 2))\n"
+                "grid_search(wave, grid, horizon_days=400)\n")
+        parent = subprocess.Popen([sys.executable, "-c", code], env=epiwave_env())
+        children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2:
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+                workers = children.read_text().split()
+            parent.terminate()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(running, workers)):
+                assert time.monotonic() < deadline, "workers outlived their parent"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            for pid in filter(running, workers):
+                os.kill(int(pid), signal.SIGKILL)
+
+
+def epiwave_env() -> dict:
+    """This environment, with the tested epiwave first on the import path."""
+    src = str(Path(epiwave.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def running(pid: str) -> bool:
+    """Whether process ``pid`` exists and has not yet exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 class TestAverageTopCandidates:

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import rk4_reference
 from epiwave.epidemic import (
+    _SCALAR_CELLS,
     IntegrationError,
+    SeirBank,
     SeirParams,
     SeirState,
     SirState,
@@ -187,26 +189,27 @@ class CountingNumpy:
         return counted
 
 
-@pytest.mark.parametrize("system", ["seir", "sir"])
-def test_rk4_step_dispatch_budget(system, monkeypatch):
-    """A step makes at most 27 numpy calls, on C-contiguous arrays only.
+def test_rk4_step_dispatch_budget(monkeypatch):
+    """A block step makes at most 27 numpy calls, on C-contiguous arrays only.
 
     On small blocks a step's cost is numpy's per-call dispatch, which rises
-    with every call and with each strided or Python-float operand.  The calls
-    of 100 steps are those of a 101-step run less those of a 1-step run.
+    with every call and with each strided or Python-float operand.  The bank
+    is one cell wider than the blocks stepped in plain floats.  The calls of
+    100 days of 4 steps are those of a 101-day run less those of a 1-day run.
     """
     counting = CountingNumpy()
     monkeypatch.setattr("epiwave.epidemic.np", counting)
+    n = _SCALAR_CELLS + 1
+    bank = SeirBank(np.linspace(0.2, 0.3, n), np.full(n, 0.1), np.full(n, 3.0))
 
-    def calls(n_steps):
+    def calls(n_days):
         counting.calls.clear()
-        step = 0.25  # exact in binary, so t_end / step is n_steps exactly
-        integrate(system, initial_state(system), WAVE1_PARAMS, n_steps * step, step)
+        bank.daily_removed(n_days, step=0.25)
         return collections.Counter(counting.calls)
 
-    hundred_steps = calls(101) - calls(1)
-    assert sum(hundred_steps.values()) <= 27 * 100
-    for name, kinds in hundred_steps:
+    hundred_days = calls(101) - calls(1)
+    assert sum(hundred_days.values()) <= 27 * 4 * 100
+    for name, kinds in hundred_days:
         assert "strided" not in kinds and "float" not in kinds, (name, kinds)
 
 

@@ -5,12 +5,13 @@ bit.  With its exact early stop, every grid cell's error and kappa must equal
 the reference kernel's full-horizon curves scored by ``_score``.
 """
 import datetime as dt
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epiwave import calibration
+from epiwave import calibration, epidemic
 from epiwave.calibration import GridSpec, grid_search
 from epiwave.epidemic import SeirBank
 from epiwave.series import DailyCountSeries
@@ -119,6 +120,50 @@ def test_banks_around_the_chunk_size(offset):
         assert_report_matches(report, expected)
 
 
+@blow_ups_expected
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), step=st.sampled_from(STEPS), n_days=st.integers(1, 120))
+def test_banks_around_the_float_width(offset, data, step, n_days):
+    # At most _SCALAR_CELLS cells step in plain floats, wider banks in numpy.
+    n = epidemic._SCALAR_CELLS + offset
+    bank = data.draw(st.lists(cells(), min_size=n, max_size=n))
+    beta, eta, epsilon = (np.array(a) for a in zip(*bank))
+    expected = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
+    got = SeirBank(beta, eta, epsilon).daily_removed(n_days, step=step)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+# Cells that stop early, and cells that peak late; all stable at step 0.25.
+early_cells = st.tuples(st.floats(0.3, 0.95), st.floats(0.05, 0.5),
+                        st.floats(0.2, 5.0)).map(lambda c: (c[0] * c[1], *c[1:]))
+late_cells = st.tuples(st.floats(3.0, 6.0), st.floats(0.05, 0.1),
+                       st.floats(0.2, 5.0)).map(lambda c: (c[0] * c[1], *c[1:]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(early_cells, min_size=2, max_size=3),
+       st.lists(late_cells, min_size=epidemic._SCALAR_CELLS - 1,
+                max_size=epidemic._SCALAR_CELLS),
+       st.sampled_from((0.05, 0.25)), st.integers(1, 30))
+def test_bank_compacted_onto_the_float_path(early, late, step, after_peak):
+    bank = early + late
+    beta, eta, epsilon = (np.array(a) for a in zip(*bank))
+    n_days = 200
+    with mock.patch.object(epidemic, "_rk4_stepper",
+                           wraps=epidemic._rk4_stepper) as stepper:
+        stopped = SeirBank(beta, eta, epsilon).daily_removed(
+            n_days, step=step, after_peak=after_peak)
+    widths = [call.args[0].shape[1] for call in stepper.call_args_list]
+    assert widths[0] > epidemic._SCALAR_CELLS >= min(widths)
+    full = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
+    for f, s in zip(full, stopped):
+        # The cell's days equal the reference's up to its stop, then read 0.
+        stop = np.argmin(s == f) if (s != f).any() else n_days
+        assert stop >= min(int(np.argmax(f)) + after_peak, n_days)
+        assert np.all(s[stop:] == 0.0)
+
+
 def test_single_cell_bank_matches_its_row_in_a_bank():
     beta, eta, epsilon = [0.3, 0.23, 0.1], [0.1, 0.14, 0.2], [2.0, 3.0, 4.0]
     together = SeirBank(beta, eta, epsilon).daily_removed(200, after_peak=40)
@@ -150,6 +195,11 @@ def test_early_stop_keeps_argmax_and_window(bank, step, n_days, after_peak):
         assert np.array_equal(s[:window], f[:window], equal_nan=True)
         differs = (s != f) & ~(np.isnan(s) & np.isnan(f))
         assert np.all(s[differs] == 0.0)
+
+
+@pytest.mark.parametrize("after_peak", [None, 2])
+def test_empty_bank_has_no_rows(after_peak):
+    assert SeirBank([], [], []).daily_removed(5, after_peak=after_peak).shape == (0, 5)
 
 
 def test_rejects_step_not_dividing_a_day():
