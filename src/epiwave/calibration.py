@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epidemic import DEFAULT_SEED, DEFAULT_STEP, IntegrationError, SeirBank, SeirParams
-from .series import DailyCountSeries
+from .series import DailyCountSeries, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
 
@@ -98,20 +98,9 @@ class FitReport:
     eta_scan: list[tuple[float, float]] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("r0,beta,eta,epsilon,kappa,error_pct\n")
-            for c in self.candidates:
-                fh.write(
-                    f"{c.r0!r},{c.params.beta!r},{c.params.eta!r},"
-                    f"{c.params.epsilon!r},{c.kappa!r},{c.error_pct!r}\n"
-                )
-
-    @staticmethod
-    def scan_to_csv(scan, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("param_value,min_error_pct\n")
-            for value, err in scan:
-                fh.write(f"{value!r},{err!r}\n")
+        rows = ((c.r0, c.params.beta, c.params.eta, c.params.epsilon, c.kappa,
+                 c.error_pct) for c in self.candidates)
+        write_csv(path, ("r0", "beta", "eta", "epsilon", "kappa", "error_pct"), rows)
 
 
 def default_horizon(n_obs: int) -> int:

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import calibration, finalsize, fixtures, forecast, mortality, waves
-from .calibration import FitCandidate, FitReport, GridSpec
+from .calibration import FitCandidate, GridSpec
 from .epidemic import (
     DEFAULT_SEED,
     DEFAULT_STEP,
@@ -39,6 +39,7 @@ from .series import (
     load_excess,
     load_series,
     save_series,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -222,7 +223,7 @@ def cmd_excess(args) -> int:
     histories = [load_series(_resolve(p)) for p in args.history]
     if len(args.weights) != len(histories):
         raise ValueError(f"{len(args.weights)} weights for {len(histories)} histories")
-    weights = mortality.BaselineWeights.from_weights(args.weights)
+    weights = mortality.BaselineWeights(tuple(args.weights))
 
     expected_parts = [
         mortality.expected_deaths(histories, weights, year)
@@ -276,8 +277,9 @@ def cmd_fit(args) -> int:
     report = calibration.grid_search(observed, grid, args.metric, args.top_k)
     out = _out_dir(args)
     report.to_csv(out / "fit_report.csv")
-    FitReport.scan_to_csv(report.beta_scan, out / "beta_scan.csv")
-    FitReport.scan_to_csv(report.eta_scan, out / "eta_scan.csv")
+    scan_header = ("param_value", "min_error_pct")
+    write_csv(out / "beta_scan.csv", scan_header, report.beta_scan)
+    write_csv(out / "eta_scan.csv", scan_header, report.eta_scan)
     _write_meta(
         args,
         out,
@@ -319,15 +321,9 @@ def cmd_forecast(args) -> int:
         priors.append(calibration.average_top_candidates(candidates, n))
     band = forecast.predict_wave(priors, args.start_date, args.horizon)
     out = _out_dir(args)
-    with open(out / "forecast.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("date,lower,central,upper\n")
-        for day, lo, mid, hi in zip(
-            band.central.dates(), band.lower.values, band.central.values,
-            band.upper.values,
-        ):
-            fh.write(
-                f"{day.isoformat()},{float(lo)!r},{float(mid)!r},{float(hi)!r}\n"
-            )
+    rows = zip(band.central.dates(), band.lower.values.tolist(),
+               band.central.values.tolist(), band.upper.values.tolist())
+    write_csv(out / "forecast.csv", ("date", "lower", "central", "upper"), rows)
     _write_meta(args, out, "assumptions.json", band.assumptions)
     _say(args, f"central_r0={band.assumptions['central']['r0']:.3f}")
     return EXIT_OK
@@ -341,24 +337,24 @@ def cmd_finalsize(args) -> int:
     if args.curve is not None:
         results = finalsize.final_size_curve(*args.curve)
         out = _out_dir(args)
-        with open(out / "final_size_curve.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("r0,r_f\n")
-            for r in results:
-                fh.write(f"{r.r0!r},{r.r_f!r}\n")
+        write_csv(out / "final_size_curve.csv", ("r0", "r_f"),
+                  ((r.r0, r.r_f) for r in results))
     if args.table is not None:
         # Every row is read and solved before the output file is opened, so a
         # bad row leaves no partial table behind.
         with _open_input(args.table, "table") as fh:
             try:
                 rows = [(row["wave"], float(row["r0"])) for row in csv.DictReader(fh)]
+                # Before Python 3.13 csv.writer leaves a lone \r unquoted, and
+                # reading the table back would then split the row there.
+                cr_labels = [label for label, _ in rows if "\r" in label]
             except (KeyError, TypeError, ValueError) as exc:
                 raise SeriesError(f"{args.table}: expected wave,r0 rows") from exc
-        sizes = [finalsize.solve_final_size(r0).r_f for _, r0 in rows]
-        out = _out_dir(args)
-        with open(out / "herd_immunity.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("wave,r0,r_f\n")
-            for (label, r0), r_f in zip(rows, sizes):
-                fh.write(f"{label},{r0!r},{r_f!r}\n")
+        if cr_labels:
+            raise SeriesError(
+                f"{args.table}: wave label {cr_labels[0]!r} contains a carriage return")
+        rows = [(label, r0, finalsize.solve_final_size(r0).r_f) for label, r0 in rows]
+        write_csv(_out_dir(args) / "herd_immunity.csv", ("wave", "r0", "r_f"), rows)
     return EXIT_OK
 
 
@@ -395,7 +391,7 @@ COMMANDS = {
         Setting("--reported", None, required=True),
         Setting("--history", None, required=True, repeat=True),
         Setting("--weights", "weights", _parse_floats, FINITE,
-                [w for _, w in mortality.DEFAULT_WEIGHTS]),
+                list(mortality.DEFAULT_WEIGHTS)),
         Setting("--smoothing", "smoothing", str, ("pre", "post", "none"), "pre"),
     )),
     "waves": ("segment an excess series into waves", cmd_waves,
@@ -434,6 +430,9 @@ COMMANDS = {
     )),
 }
 CONFIG_KEYS = frozenset(s.key for _, _, ss in COMMANDS.values() for s in ss if s.key)
+_VALUE_FLAGS = frozenset(
+    {s.flag for _, _, ss in COMMANDS.values() for s in ss} | {"--config", "--out"}
+)
 
 
 def build_parser() -> _Parser:
@@ -455,10 +454,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_values(argv) -> list[str]:
+    """``--flag VALUE`` as ``--flag=VALUE`` for each flag that takes a value.
+
+    argparse reads a separate value that starts with '-' as a flag unless it
+    looks like a plain negative number, so ``--curve -1,7,3`` would fail
+    where ``--curve=-1,7,3`` reaches the value's own check."""
+    joined, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in _VALUE_FLAGS else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     """Run one command; every error exits with the code of its category."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_values(sys.argv[1:] if argv is None else argv))
         _apply_config(args, _load_config(args.config), COMMANDS[args.command][2])
         return args.func(args)
     except UsageError as exc:

@@ -18,7 +18,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .series import DailyCountSeries
+from .series import DailyCountSeries, write_csv
 
 DEFAULT_STEP = 0.05  # days
 DEFAULT_SEED = 1e-5  # initial infected/exposed fraction
@@ -110,13 +110,8 @@ class Trajectory:
         return self.states[:, self.labels.index(label)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(self.labels) + "\n")
-            # The repr of a Python float (not of np.float64) is the shortest
-            # string that parses back to the same double.
-            for t, row in zip(self.times, self.states):
-                cols = ",".join(map(repr, row.tolist()))
-                fh.write(f"{float(t)!r},{cols}\n")
+        rows = map(np.ndarray.tolist, np.column_stack((self.times, self.states)))
+        write_csv(path, ("t", *self.labels), rows)
 
 
 def integrate(

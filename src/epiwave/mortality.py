@@ -14,37 +14,20 @@ import numpy as np
 from .series import DailyCountSeries, DailySeries, ExcessSeries, SeriesError
 
 # Most recent history year first: 40/30/20/5/5 percent.
-DEFAULT_WEIGHTS = ((1, 0.40), (2, 0.30), (3, 0.20), (4, 0.05), (5, 0.05))
+DEFAULT_WEIGHTS = (0.40, 0.30, 0.20, 0.05, 0.05)
 
 
 @dataclass(frozen=True)
 class BaselineWeights:
-    """Per-history weights, ordered to match the history list.
+    """Per-history weights, paired with the history list by position."""
 
-    ``year_offset`` is the nominal distance (in years) behind the first
-    predicted year; histories are paired with weights positionally.
-    """
-
-    entries: tuple[tuple[int, float], ...] = DEFAULT_WEIGHTS
+    weights: tuple[float, ...] = DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        offsets = [o for o, _ in self.entries]
-        if len(set(offsets)) != len(offsets):
-            raise ValueError("year offsets must be distinct")
-        if any(o < 1 for o in offsets):
-            raise ValueError("year offsets must be >= 1")
-        if any(not 0.0 <= w <= 1.0 for _, w in self.entries):
+        if any(not 0.0 <= w <= 1.0 for w in self.weights):
             raise ValueError("weights must lie in [0, 1]")
-        if abs(sum(w for _, w in self.entries) - 1.0) > 1e-12:
+        if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1.0")
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(w for _, w in self.entries)
-
-    @classmethod
-    def from_weights(cls, weights) -> "BaselineWeights":
-        return cls(tuple((i + 1, float(w)) for i, w in enumerate(weights)))
 
 
 def trailing_average_7(series: DailySeries) -> DailySeries:
@@ -76,9 +59,9 @@ def expected_deaths(
     target year with no leap-day history uses the mean of that history's
     Feb 28 and Mar 1; a history's leap day is ignored for non-leap targets.
     """
-    if len(histories) != len(weights.entries):
+    if len(histories) != len(weights.weights):
         raise SeriesError(
-            f"{len(weights.entries)} weights but {len(histories)} histories"
+            f"{len(weights.weights)} weights but {len(histories)} histories"
         )
     tables = [_month_day_map(h) for h in histories]
 

@@ -138,7 +138,18 @@ def load_excess(path) -> ExcessSeries:
 
 def save_series(series: DailySeries, path) -> None:
     """Write a series as `date,value` CSV (values in shortest round-trip form)."""
+    write_csv(path, ("date", "value"), zip(series.dates(), series.values.tolist()))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV with ``\\n`` line ends.
+
+    A float is written as its repr, the shortest text that reads back to the
+    same double, so rows hold Python floats (``.tolist()``), not
+    ``np.float64``.  A date is written in ISO form, and a text field is
+    quoted only where CSV needs it.  ``rows`` is consumed as a stream.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("date,value\n")
-        for day, value in zip(series.dates(), series.values):
-            fh.write(f"{day.isoformat()},{float(value)!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

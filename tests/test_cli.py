@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 import os
@@ -234,6 +235,26 @@ class TestFinalsize:
         lines = (tmp_path / "herd_immunity.csv").read_text().splitlines()
         assert lines[0] == "wave,r0,r_f"
         assert len(lines) == 3
+
+    def test_table_label_with_comma_reads_back(self, tmp_path):
+        src = tmp_path / "r0s.csv"
+        src.write_text('wave,r0\n"2020, first",3.17\n', encoding="utf-8")
+        rc = main(["finalsize", "--table", str(src), "--out", str(tmp_path),
+                   "--quiet"])
+        assert rc == 0
+        with open(tmp_path / "herd_immunity.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and list(rows[0]) == ["wave", "r0", "r_f"]
+        assert rows[0]["wave"] == "2020, first" and float(rows[0]["r0"]) == 3.17
+
+    def test_table_label_with_carriage_return_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "r0s.csv"
+        src.write_bytes(b'wave,r0\na,2.5\n"b\rc",1.6\n')
+        out = tmp_path / "out"
+        rc = main(["finalsize", "--table", str(src), "--out", str(out), "--quiet"])
+        assert rc == EXIT_PARSE
+        assert "carriage return" in capsys.readouterr().err
+        assert not (out / "herd_immunity.csv").exists()
 
     def test_missing_table_exits_2(self, tmp_path, capsys):
         rc = main(["finalsize", "--table", str(tmp_path / "missing.csv"),

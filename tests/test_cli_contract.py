@@ -3,7 +3,9 @@
 Every run exits 0, 2, 3 or 4, and an error prints exactly one ``epiwave:``
 line and no traceback.  A value outside its setting's domain exits 4 as a
 flag and 2 as a config value, and the message names the flag or the key.  A
-run that exits 0 writes the same bytes again under --no-timestamp.
+flag's value may be joined to it by '=' or passed as the next argument, and
+both spellings give the same exit code, the same stderr and, under
+--no-timestamp, the same bytes.
 """
 import contextlib
 import datetime as dt
@@ -71,7 +73,7 @@ def in_domain(s):
     if s.parse is cli._DATE:
         return st.dates(dt.date(2019, 1, 1), dt.date(2023, 1, 1)).map(_text)
     if s.parse is int:
-        return st.integers(1, 30) if s.domain == COUNT else st.integers(-1, 1)
+        return (st.integers(1, 30) if s.domain == COUNT else st.integers(-1, 1)).map(_text)
     return (positive if s.domain == POSITIVE else st.floats(-5.0, 5.0)).map(_text)
 
 
@@ -105,6 +107,12 @@ def run(argv):
     return rc, err.getvalue()
 
 
+def spelled(flags) -> list[str]:
+    """Each (flag, value, joined) as ``flag=value`` or as two arguments."""
+    return [arg for flag, text, joined in flags
+            for arg in ([f"{flag}={text}"] if joined else [flag, text])]
+
+
 def written(directory: Path) -> dict:
     return {p.relative_to(directory): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
@@ -122,7 +130,10 @@ def test_cli_contract(base_argv, command, data):
         bad = data.draw(RARELY)
         text = data.draw(out_of_domain(s) if bad else in_domain(s))
         name = s.flag if where == "flag" else s.key
-        (flags if where == "flag" else lines).append(f"{name}={text}")
+        if where == "flag":
+            flags.append((name, text, data.draw(st.booleans())))
+        else:
+            lines.append(f"{name}={text}")
         if bad:
             (bad_flags if where == "flag" else bad_keys).append(name)
     # A key of another command is ignored, whatever its value.
@@ -138,9 +149,11 @@ def test_cli_contract(base_argv, command, data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "run.cfg").write_text("".join(line + "\n" for line in lines))
-        argv = [command, *base_argv[command], *flags, "--config", str(tmp / "run.cfg"),
+        argv = [command, *base_argv[command], "--config", str(tmp / "run.cfg"),
                 "--no-timestamp", "--quiet"]
-        rc, err = run(argv + ["--out", str(tmp / "a")])
+        rc, err = run(argv + spelled(flags) + ["--out", str(tmp / "a")])
+        flipped = [(flag, text, not joined) for flag, text, joined in flags]
+        assert run(argv + spelled(flipped) + ["--out", str(tmp / "b")]) == (rc, err)
 
         assert rc in (0, 2, 3, 4)
         assert "Traceback" not in err
@@ -157,7 +170,6 @@ def test_cli_contract(base_argv, command, data):
         else:
             assert rc != cli.EXIT_PARSE
         if rc == 0:
-            assert run(argv + ["--out", str(tmp / "b")])[0] == 0
             assert written(tmp / "a") == written(tmp / "b")
 
 

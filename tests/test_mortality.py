@@ -63,11 +63,11 @@ class TestBaselineWeights:
 
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            BaselineWeights.from_weights([0.4, 0.3, 0.2, 0.05, 0.04])
+            BaselineWeights((0.4, 0.3, 0.2, 0.05, 0.04))
 
-    def test_offsets_distinct(self):
-        with pytest.raises(ValueError):
-            BaselineWeights(((1, 0.5), (1, 0.5)))
+    def test_each_weight_in_unit_interval(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            BaselineWeights((1.5, -0.5))
 
 
 class TestExpectedDeaths:
@@ -91,18 +91,18 @@ class TestExpectedDeaths:
         mar1 = (dt.date(2019, 3, 1) - dt.date(2019, 1, 1)).days
         h.values[feb28] = 10.0
         h.values[mar1] = 30.0
-        out = expected_deaths([h], BaselineWeights.from_weights([1.0]), 2020)
+        out = expected_deaths([h], BaselineWeights((1.0,)), 2020)
         assert out.values[out.index_of(dt.date(2020, 2, 29))] == pytest.approx(20.0)
 
     def test_single_history_weight_one_identity(self):
         h = const_year(2019, 0.0)
         h.values[:] = np.arange(365.0)
-        out = expected_deaths([h], BaselineWeights.from_weights([1.0]), 2021)
+        out = expected_deaths([h], BaselineWeights((1.0,)), 2021)
         assert np.array_equal(out.values, h.values)
 
     def test_history_leap_day_dropped_for_non_leap_target(self):
         h = const_year(2020, 50.0)  # leap history
-        out = expected_deaths([h], BaselineWeights.from_weights([1.0]), 2021)
+        out = expected_deaths([h], BaselineWeights((1.0,)), 2021)
         assert len(out) == 365
         assert np.allclose(out.values, 50.0)
 
@@ -115,7 +115,7 @@ class TestExpectedDeaths:
             start=dt.date(2019, 1, 1), values=np.ones(200)
         )
         with pytest.raises(SeriesError, match="missing month-day"):
-            expected_deaths([partial], BaselineWeights.from_weights([1.0]), 2021)
+            expected_deaths([partial], BaselineWeights((1.0,)), 2021)
 
 
 class TestExcessMortality:
