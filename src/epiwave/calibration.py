@@ -154,8 +154,8 @@ def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
     return error, kappa
 
 
-def _check_inputs(observed: DailyCountSeries, metric, step, seed) -> np.ndarray:
-    """The observed values; ValueError for any unusable input, before any work."""
+def _check_inputs(observed: DailyCountSeries, metric, step, seed, horizon_days):
+    """Observed values and horizon; ValueError for unusable input, before any work."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     SeirBank.check_run(step, seed)
@@ -164,7 +164,11 @@ def _check_inputs(observed: DailyCountSeries, metric, step, seed) -> np.ndarray:
         raise ValueError("observed wave must span at least 14 days")
     if not np.any(obs > 0):
         raise ValueError("observed wave is all zero")
-    return obs
+    if horizon_days is None:
+        return obs, default_horizon(obs.size)
+    if not isinstance(horizon_days, (int, np.integer)) or horizon_days < 1:
+        raise ValueError(f"horizon_days must be None or an int >= 1: {horizon_days!r}")
+    return obs, horizon_days
 
 
 def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
@@ -238,8 +242,7 @@ def fit_error(
     seed: float = DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Error percentage and closed-form kappa for one parameter set."""
-    obs = _check_inputs(observed, metric, step, seed)
-    horizon = horizon_days or default_horizon(obs.size)
+    obs, horizon = _check_inputs(observed, metric, step, seed, horizon_days)
     error, kappa = _bank_scores(
         params.beta, params.eta, params.epsilon, obs, horizon, step, seed, metric
     )
@@ -264,8 +267,7 @@ def grid_search(
         grid = GridSpec()
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    obs = _check_inputs(observed, metric, step, seed)
-    horizon = horizon_days or default_horizon(obs.size)
+    obs, horizon = _check_inputs(observed, metric, step, seed, horizon_days)
 
     bv, ev, xv = grid.beta_values, grid.eta_values, grid.epsilon_values
     B, H, X = (a.ravel() for a in np.meshgrid(bv, ev, xv, indexing="ij"))

@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 input or config error, 3 inconsistent values,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 import inspect
 import json
@@ -38,6 +37,8 @@ from .series import (
     SeriesError,
     load_excess,
     load_series,
+    read_csv,
+    reading,
     save_series,
     write_csv,
 )
@@ -126,19 +127,11 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _open_input(path, label: str):
-    """Open a text input for reading; a missing or unreadable file is exit 2."""
-    try:
-        return open(_resolve(path), newline="", encoding="utf-8")
-    except OSError as exc:
-        raise SeriesError(f"cannot read {label} {path}: {exc}") from exc
-
-
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     cfg: dict[str, str] = {}
-    with _open_input(path, "config") as fh:
+    with reading(_resolve(path)) as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -298,16 +291,12 @@ def cmd_fit(args) -> int:
 
 def _read_fit_report(path) -> list[FitCandidate]:
     candidates = []
-    with _open_input(path, "fit report") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                beta, eta, epsilon, kappa, error = (
-                    float(row[k]) for k in ("beta", "eta", "epsilon", "kappa", "error_pct")
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SeriesError(f"{path}: malformed fit report row") from exc
-            params = SeirParams(beta, eta, epsilon)
-            candidates.append(FitCandidate(params, kappa, beta / eta, error))
+    columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
+    for line, beta, eta, epsilon, kappa, error in read_csv(_resolve(path), columns):
+        if not all(map(math.isfinite, (beta, eta, epsilon, kappa))):
+            raise SeriesError(f"{path}:{line}: non-finite rate or kappa")
+        params = SeirParams(beta, eta, epsilon)
+        candidates.append(FitCandidate(params, kappa, beta / eta, error))
     if not candidates:
         raise SeriesError(f"{path}: empty fit report")
     return candidates
@@ -342,18 +331,12 @@ def cmd_finalsize(args) -> int:
     if args.table is not None:
         # Every row is read and solved before the output file is opened, so a
         # bad row leaves no partial table behind.
-        with _open_input(args.table, "table") as fh:
-            try:
-                rows = [(row["wave"], float(row["r0"])) for row in csv.DictReader(fh)]
-                # Before Python 3.13 csv.writer leaves a lone \r unquoted, and
-                # reading the table back would then split the row there.
-                cr_labels = [label for label, _ in rows if "\r" in label]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SeriesError(f"{args.table}: expected wave,r0 rows") from exc
-        if cr_labels:
-            raise SeriesError(
-                f"{args.table}: wave label {cr_labels[0]!r} contains a carriage return")
-        rows = [(label, r0, finalsize.solve_final_size(r0).r_f) for label, r0 in rows]
+        rows = read_csv(_resolve(args.table), {"wave": str, "r0": float})
+        for line, label, _ in rows:
+            if "\r" in label:  # csv.writer leaves a lone \r unquoted before 3.13
+                raise SeriesError(f"{args.table}:{line}: carriage return in "
+                                  f"wave label {label!r}")
+        rows = [(label, r0, finalsize.solve_final_size(r0).r_f) for _, label, r0 in rows]
         write_csv(_out_dir(args) / "herd_immunity.csv", ("wave", "r0", "r_f"), rows)
     return EXIT_OK
 
@@ -436,10 +419,10 @@ _VALUE_FLAGS = frozenset(
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="epiwave", description=__doc__)
+    parser = _Parser(prog="epiwave", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, settings) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for s in settings:
             p.add_argument(
                 s.flag, dest=s.dest, type=s.flag_type, required=s.required,

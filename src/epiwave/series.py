@@ -6,6 +6,7 @@ must be non-negative; excess-mortality series may dip below zero.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 from dataclasses import dataclass
@@ -69,42 +70,56 @@ class ExcessSeries(DailySeries):
     """Daily excess mortality; negative days are preserved."""
 
 
-def _parse_rows(path) -> list[tuple[int, dt.date, float]]:
-    rows = []
+@contextlib.contextmanager
+def reading(path):
+    """``path`` open as UTF-8 text for ``csv``; failing to open, decode or
+    (inside the block) parse it as CSV is one ``SeriesError`` naming it."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SeriesError(f"cannot read {path}: {exc}") from exc
-    with fh:
+
+
+def read_csv(path, columns) -> list[tuple]:
+    """``(line, *values)`` of each non-blank data row of a CSV file, the twin
+    of ``write_csv``: ``columns`` maps header names (case and outer space
+    ignored) to the parsers of their fields; ``line`` is the row's last line."""
+    with reading(path) as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SeriesError(f"{path}: empty file")
-        if [c.strip().lower() for c in header[:2]] != ["date", "value"]:
-            raise SeriesError(f"{path}:1: expected header 'date,value'")
-        for lineno, row in enumerate(reader, start=2):
+        names = [name.strip().lower() for name in next(reader, [])]
+        index = [names.index(name) for name in columns if names.count(name) == 1]
+        if len(index) < len(columns):
+            raise SeriesError(f"{path}:1: header needs {','.join(columns)!r}, each once")
+        width = max(index) + 1
+        lines, rows = [], []
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) < 2:
-                raise SeriesError(f"{path}:{lineno}: expected 'date,value' row")
-            try:
-                day = dt.date.fromisoformat(row[0].strip())
-            except ValueError as exc:
-                raise SeriesError(f"{path}:{lineno}: bad date {row[0]!r}") from exc
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise SeriesError(f"{path}:{lineno}: bad value {row[1]!r}") from exc
-            rows.append((lineno, day, value))
-    if not rows:
-        raise SeriesError(f"{path}: no data rows")
-    return rows
+            if len(row) < width:
+                raise SeriesError(f"{path}:{reader.line_num}: expected {width} "
+                                  f"fields, found {len(row)}")
+            lines.append(reader.line_num)
+            rows.append(row)
+    try:  # a column at a time; row by row only to name the first bad field
+        return list(zip(lines, *(list(map(parse, [row[i] for row in rows]))
+                                 for i, parse in zip(index, columns.values()))))
+    except ValueError:
+        for line, row in zip(lines, rows):
+            for i, (name, parse) in zip(index, columns.items()):
+                try:
+                    parse(row[i])
+                except ValueError as exc:
+                    raise SeriesError(f"{path}:{line}: bad {name} {row[i]!r}") from exc
+        raise
 
 
 def _load(path, cls):
-    rows = _parse_rows(path)
-    prev_line, prev_day, _ = rows[0]
-    for lineno, day, _ in rows[1:]:
+    rows = read_csv(
+        path, {"date": lambda s: dt.date.fromisoformat(s.strip()), "value": float})
+    if not rows:
+        raise SeriesError(f"{path}: no data rows")
+    for (_, prev_day, _), (lineno, day, _) in zip(rows, rows[1:]):
         if day == prev_day:
             raise SeriesError(f"{path}:{lineno}: duplicate date {day}")
         if day < prev_day:
@@ -114,7 +129,6 @@ def _load(path, cls):
             raise SeriesError(
                 f"{path}:{lineno}: interior gap of {gap - 1} day(s) before {day}"
             )
-        prev_line, prev_day = lineno, day
     if not cls.allow_negative:
         for lineno, _, value in rows:
             if value < 0:

@@ -212,6 +212,15 @@ class TestGridSearch:
             grid_search(wave, SMALL_GRID, **setting)
         assert banks == []
 
+    @pytest.mark.parametrize("horizon", [0, -5, 2.5])
+    def test_horizon_must_be_a_positive_int(self, wave, monkeypatch, horizon):
+        banks = spy_on_banks(monkeypatch)
+        for run in (lambda: grid_search(wave, SMALL_GRID, horizon_days=horizon),
+                    lambda: fit_error(TRUTH, wave, horizon_days=horizon)):
+            with pytest.raises(ValueError, match="horizon_days"):
+                run()
+        assert banks == []
+
 
 def spy_on_banks(monkeypatch) -> list:
     """Record each ``SeirBank`` this process builds; forked workers record

@@ -490,3 +490,95 @@ def test_fit_with_every_cell_blown_up_exits_3(tmp_path):
     assert done.stderr.startswith("epiwave: ") and done.stderr.count("\n") == 1
     assert "RuntimeWarning" not in done.stderr
     assert not (out / "fit_report.csv").exists()
+
+
+FIT_REPORT_HEADER = "r0,beta,eta,epsilon,kappa,error_pct\n"
+# What each CSV input (and --config) reads, and its header.
+CSV_INPUTS = {
+    "excess --reported": "date,value",
+    "excess --history": "date,value",
+    "waves --input": "date,value",
+    "fit --input": "date,value",
+    "forecast --prior-report": FIT_REPORT_HEADER.strip(),
+    "finalsize --table": "wave,r0",
+    "waves --config": "top_k=3",
+}
+UNREADABLE = {
+    "missing": None,
+    "directory": b"",
+    "undecodable": b"\xff,1\n",
+    "oversized field": b"x" * 200_000 + b"\n",
+}
+
+
+def argv_reading(slot: str, path: str, registry) -> list[str]:
+    """A command line that reads ``path`` through ``slot`` and has every
+    other input it needs."""
+    command, flag = slot.split()
+    history = [str(registry[year]) for year in (2019, 2018, 2017, 2016, 2015)]
+    if flag == "--history":
+        history[0] = path
+    if command == "excess":
+        reported = path if flag == "--reported" else str(registry["reported"])
+        return ["excess", "--reported", reported] + [
+            arg for h in history for arg in ("--history", h)]
+    if flag == "--config":
+        return [command, "--fixture", "triangle", "--config", path]
+    return [command, flag, path] + (TRIANGLE_FIT[3:] if command == "fit" else [])
+
+
+@pytest.mark.parametrize("kind", list(UNREADABLE))
+@pytest.mark.parametrize("slot", list(CSV_INPUTS))
+def test_unreadable_input_exits_2_and_writes_nothing(
+        registry, tmp_path, capsys, slot, kind):
+    path = tmp_path / "input.csv"
+    content = UNREADABLE[kind]
+    if kind == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(CSV_INPUTS[slot].encode() + b"\n" + content)
+    out = tmp_path / "out"
+    rc = main(argv_reading(slot, str(path), registry) + ["--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_PARSE
+    assert err.startswith("epiwave: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("row", [
+    "3.0,0.3,0.1,3.0,nan,1.0", "3.0,inf,0.1,3.0,1000.0,1.0",
+    "3.0,0.3,nan,3.0,1000.0,1.0", "3.0,0.3,0.1,-inf,1000.0,1.0",
+])
+def test_non_finite_fit_report_value_exits_2_naming_the_line(tmp_path, capsys, row):
+    report = tmp_path / "report.csv"
+    report.write_text(FIT_REPORT_HEADER + "2.0,0.2,0.1,3.0,1000.0,5.0\n" + row + "\n")
+    out = tmp_path / "out"
+    rc = main(["forecast", "--prior-report", str(report), "--out", str(out), "--quiet"])
+    assert rc == EXIT_PARSE
+    assert f"{report}:3: non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inputs_find_their_columns_by_name(tmp_path):
+    table = tmp_path / "r0s.csv"
+    table.write_text("R0 ,note, wave\n2.5,x,first\n")
+    report = tmp_path / "report.csv"
+    report.write_text("error_pct,kappa,epsilon,eta,beta\n5.0,1000.0,3.0,0.1,0.2\n")
+    assert main(["finalsize", "--table", str(table), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    assert (tmp_path / "herd_immunity.csv").read_text().splitlines()[1].startswith(
+        "first,2.5,")
+    assert main(["forecast", "--prior-report", str(report), "--horizon", "30",
+                 "--out", str(tmp_path), "--quiet", "--no-timestamp"]) == 0
+    assert json.loads((tmp_path / "assumptions.json").read_text())["central"]["r0"] == 2.0
+
+
+@pytest.mark.parametrize("text", ["", "foo\n", "wave,r0,wave\na,2.5,b\n"])
+def test_table_without_one_wave_and_r0_column_exits_2(tmp_path, text):
+    src = tmp_path / "r0s.csv"
+    src.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["finalsize", "--table", str(src), "--out", str(out), "--quiet"])
+    assert rc == EXIT_PARSE
+    assert not out.exists()

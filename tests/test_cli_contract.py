@@ -5,7 +5,8 @@ line and no traceback.  A value outside its setting's domain exits 4 as a
 flag and 2 as a config value, and the message names the flag or the key.  A
 flag's value may be joined to it by '=' or passed as the next argument, and
 both spellings give the same exit code, the same stderr and, under
---no-timestamp, the same bytes.
+--no-timestamp, the same bytes.  Only full flag names are accepted: a strict
+prefix of a flag exits 4 in both spellings, with the same message.
 """
 import contextlib
 import datetime as dt
@@ -171,6 +172,24 @@ def test_cli_contract(base_argv, command, data):
             assert rc != cli.EXIT_PARSE
         if rc == 0:
             assert written(tmp / "a") == written(tmp / "b")
+
+
+VALUE_FLAGS = [(command, flag) for command, (_, _, table) in COMMANDS.items()
+               for flag in [s.flag for s in table] + ["--config", "--out"]]
+
+
+@pytest.mark.parametrize("command, flag", VALUE_FLAGS)
+def test_flag_prefix_is_unrecognized(base_argv, tmp_path, command, flag):
+    """Only full flag names are accepted, in either spelling of the value."""
+    for prefix in (flag[:3], flag[:-1]):
+        assert prefix not in cli._VALUE_FLAGS
+        for value in ("-1e-05", "0.3"):
+            argv = [command, *base_argv[command], "--out", str(tmp_path), "--quiet"]
+            joined = run(argv + [f"{prefix}={value}"])
+            apart = run(argv + [prefix, value])
+            assert joined[0] == apart[0] == cli.EXIT_USAGE
+            assert apart[1] == f"epiwave: unrecognized arguments: {prefix} {value}\n"
+            assert joined[1] == apart[1].replace(f"{prefix} {value}", f"{prefix}={value}")
 
 
 def readme_command_lines():

@@ -14,6 +14,7 @@ from epiwave.series import (
     SeriesError,
     load_excess,
     load_series,
+    read_csv,
     save_series,
     write_csv,
 )
@@ -79,6 +80,52 @@ def test_missing_header_is_error(tmp_path):
 def test_unreadable_file(tmp_path):
     with pytest.raises(SeriesError, match="cannot read"):
         load_series(tmp_path / "nope.csv")
+
+
+# Each input fails to read as CSV: csv.Error, UnicodeDecodeError or OSError.
+# Python 3.10's csv module rejects NUL; 3.11 reads it, and then the value
+# does not parse, so the input fails on both.
+UNREADABLE = {
+    "missing": None,
+    "directory": "dir",
+    "undecodable": b"date,value\n2020-01-01,1\xff\n",
+    "oversized field": b"date,value\n" + b"x" * 200_000 + b"\n",
+    "nul": b"date,value\n2020-01-01,1\x00\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(UNREADABLE))
+def test_unreadable_input_is_a_series_error(tmp_path, kind):
+    path = tmp_path / "data.csv"
+    content = UNREADABLE[kind]
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    for read in (load_series, lambda p: read_csv(p, {"date": str, "value": float})):
+        with pytest.raises(SeriesError, match="data.csv"):
+            read(path)
+
+
+def test_read_csv_finds_columns_by_name(tmp_path):
+    path = write(tmp_path, ' Value ,note,DATE\n\n  \n1.5,"a\nb",2020-01-01\n'
+                           '2,,2020-01-02,extra\n""\n')
+    rows = read_csv(path, {"date": dt.date.fromisoformat, "value": float})
+    assert rows == [(5, dt.date(2020, 1, 1), 1.5), (6, dt.date(2020, 1, 2), 2.0)]
+    assert read_csv(write(tmp_path, "date,value\n"), {"date": str}) == []
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", r":1: header needs 'date,value'"),
+    ("date\n2020-01-01\n", r":1: header needs"),
+    ("date,value,Value\n2020-01-01,1,2\n", r":1: header needs 'date,value', each once"),
+    ("date,value\n2020-01-01,1\n2020-01-02\n", r":3: expected 2 fields, found 1"),
+    ("date,value\n2020-01-01,x\nbad,y\n", r":2: bad value 'x'"),
+    ("date,value\n2020-01-01,1\nbad,y\n", r":3: bad date 'bad'"),
+])
+def test_read_csv_names_the_line(tmp_path, text, match):
+    with pytest.raises(SeriesError, match=match):
+        read_csv(write(tmp_path, text), {"date": dt.date.fromisoformat, "value": float})
 
 
 def test_round_trip(tmp_path):
