@@ -19,7 +19,6 @@ from .epidemic import (
     SeirState,
     SirState,
     Trajectory,
-    basic_reproduction,
     daily_deaths,
     initial_state,
     integrate,
@@ -64,7 +63,6 @@ __all__ = [
     "Trajectory",
     "WaveSegment",
     "average_top_candidates",
-    "basic_reproduction",
     "daily_deaths",
     "excess_mortality",
     "expected_deaths",

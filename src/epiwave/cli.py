@@ -295,6 +295,10 @@ def _read_fit_report(path) -> list[FitCandidate]:
     for line, beta, eta, epsilon, kappa, error in read_csv(_resolve(path), columns):
         if not all(map(math.isfinite, (beta, eta, epsilon, kappa))):
             raise SeriesError(f"{path}:{line}: non-finite rate or kappa")
+        if not (beta > 0 and eta > 0 and epsilon > 0):
+            raise SeriesError(f"{path}:{line}: rates must be > 0")
+        if kappa < 0 or error < 0:
+            raise SeriesError(f"{path}:{line}: negative kappa or error_pct")
         params = SeirParams(beta, eta, epsilon)
         candidates.append(FitCandidate(params, kappa, beta / eta, error))
     if not candidates:

@@ -44,11 +44,6 @@ class SeirParams:
             raise ValueError("all rates must be > 0")
 
 
-def basic_reproduction(params: SeirParams) -> float:
-    """R0 = beta / eta."""
-    return params.beta / params.eta
-
-
 def _check_fractions(components, total):
     if any(not -1e-9 <= c <= 1.0 + 1e-9 for c in components):
         raise ValueError("compartments must lie in [0, 1]")
@@ -216,7 +211,9 @@ def _rk4_stepper(y, rates, step: float):
     puts beta*S, epsilon*E and eta*I in rows 1-3; then row 0 gets F, row 1
     E' = F - epsilon*E and row 2 I' = epsilon*E - eta*I.  A step's 27 calls
     take only C-contiguous blocks and rows, 0-d constants and positional
-    ``out``: numpy dispatches those fastest.
+    ``out``: numpy dispatches those fastest.  So ``y`` and ``rates`` must be
+    C-ordered, also after a bank's compaction; on strided rows a step costs
+    about twice as much.
     """
     m = y.shape[1]
     if m <= _SCALAR_CELLS:
@@ -309,8 +306,10 @@ class SeirBank:
         ``after_peak``, a cell stops once its increments are past their
         maximum for good and the ``after_peak`` days from its peak day on are
         integrated; its later days read 0.  Stopped cells leave the bank in
-        batches, and integration ends when none is left.  A cell too fast for
-        the step, step * (beta + eta + epsilon) > 2, never stops early.
+        batches, and integration ends when none is left.  The compacted
+        state and rates are C-ordered copies, so every later block step keeps
+        its C-contiguous operands.  A cell too fast for the step,
+        step * (beta + eta + epsilon) > 2, never stops early.
         """
         per_day = self.check_run(step, seed)
         n = self.beta.size
@@ -356,7 +355,10 @@ class SeirBank:
                 keep = ~stopped
                 if not keep.any():
                     break
-                y, rates = y[:, keep], rates[:, keep]
+                # y[:, keep] would come back Fortran-ordered, and every later
+                # block step would then run on strided rows.
+                y = np.compress(keep, y, axis=1)
+                rates = np.compress(keep, rates, axis=1)
                 r_prev, cells = r_prev[keep], cells[keep]
                 peak_value, peak_day = peak_value[keep], peak_day[keep]
                 stopped, stable = stopped[keep], stable[keep]

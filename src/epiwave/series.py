@@ -72,10 +72,11 @@ class ExcessSeries(DailySeries):
 
 @contextlib.contextmanager
 def reading(path):
-    """``path`` open as UTF-8 text for ``csv``; failing to open, decode or
-    (inside the block) parse it as CSV is one ``SeriesError`` naming it."""
+    """``path`` open as UTF-8 text for ``csv``, past any leading byte-order
+    mark; failing to open, decode or (inside the block) parse it as CSV is
+    one ``SeriesError`` naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SeriesError(f"cannot read {path}: {exc}") from exc

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import epiwave
 from epiwave.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_USAGE, main
+from epiwave.fixtures import triangle_excess
 from epiwave.series import DailyCountSeries, load_excess, save_series
 
 SMALL_FIT_ARGS = [
@@ -560,6 +562,22 @@ def test_non_finite_fit_report_value_exits_2_naming_the_line(tmp_path, capsys, r
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", [
+    "3.0,0.3,0.0,3.0,1000.0,1.0", "3.0,-0.2,0.1,3.0,1000.0,1.0",
+    "3.0,0.3,0.1,0.0,1000.0,1.0", "3.0,0.3,0.1,3.0,-1.0,1.0",
+    "3.0,0.3,0.1,3.0,1000.0,-0.5",
+])
+def test_out_of_range_fit_report_value_exits_2_naming_the_line(tmp_path, capsys, row):
+    report = tmp_path / "report.csv"
+    report.write_text(FIT_REPORT_HEADER + "2.0,0.2,0.1,3.0,1000.0,5.0\n" + row + "\n")
+    out = tmp_path / "out"
+    rc = main(["forecast", "--prior-report", str(report), "--out", str(out), "--quiet"])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"epiwave: {report}:3: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_inputs_find_their_columns_by_name(tmp_path):
     table = tmp_path / "r0s.csv"
     table.write_text("R0 ,note, wave\n2.5,x,first\n")
@@ -582,3 +600,36 @@ def test_table_without_one_wave_and_r0_column_exits_2(tmp_path, text):
     rc = main(["finalsize", "--table", str(src), "--out", str(out), "--quiet"])
     assert rc == EXIT_PARSE
     assert not out.exists()
+
+
+def valid_input(slot: str, registry, tmp_path) -> bytes:
+    """Contents that ``slot`` accepts."""
+    command, flag = slot.split()
+    if command == "excess":
+        return registry[2019 if flag == "--history" else "reported"].read_bytes()
+    if flag == "--input":
+        save_series(triangle_excess(), tmp_path / "triangle.csv")
+        return (tmp_path / "triangle.csv").read_bytes()
+    return {
+        # beta first: a mark left in place would hide that column
+        "forecast": "beta,eta,epsilon,kappa,error_pct\n0.2,0.1,3.0,1000.0,5.0\n",
+        "finalsize": "wave,r0\nfirst,2.5\n",
+        "waves": "min_wave_days=5\n",
+    }[command].encode()
+
+
+@pytest.mark.parametrize("slot", list(CSV_INPUTS))
+def test_byte_order_mark_is_ignored(registry, tmp_path, capsys, slot):
+    """Spreadsheets save "CSV UTF-8" with a leading byte-order mark."""
+    path, out = tmp_path / "input.csv", tmp_path / "out"
+    argv = argv_reading(slot, str(path), registry) + ["--out", str(out), "--no-timestamp"]
+    content = valid_input(slot, registry, tmp_path)
+    runs = []
+    for prefix in (b"", "\ufeff".encode()):
+        path.write_bytes(prefix + content)
+        rc = main(argv)
+        files = {p.name: p.read_bytes() for p in out.glob("*")}
+        runs.append((rc, capsys.readouterr(), files))
+        shutil.rmtree(out, ignore_errors=True)
+    assert runs[0][0] == 0 and runs[0][2]
+    assert runs[1] == runs[0]

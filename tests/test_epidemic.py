@@ -13,7 +13,6 @@ from epiwave.epidemic import (
     SeirParams,
     SeirState,
     SirState,
-    basic_reproduction,
     daily_deaths,
     initial_state,
     integrate,
@@ -32,11 +31,12 @@ class TestBasicReproduction:
         ],
     )
     def test_reference_rows(self, beta, eta, expected):
-        r0 = basic_reproduction(SeirParams(beta, eta, 3.0))
-        assert r0 == pytest.approx(expected, abs=0.005)
+        params = SeirParams(beta, eta, 3.0)
+        assert params.beta / params.eta == pytest.approx(expected, abs=0.005)
 
     def test_equal_rates_give_one(self):
-        assert basic_reproduction(SeirParams(0.1, 0.1, 3.0)) == 1.0
+        params = SeirParams(0.1, 0.1, 3.0)
+        assert params.beta / params.eta == 1.0
 
 
 @st.composite
@@ -211,6 +211,22 @@ def test_rk4_step_dispatch_budget(monkeypatch):
     assert sum(hundred_days.values()) <= 27 * 4 * 100
     for name, kinds in hundred_days:
         assert "strided" not in kinds and "float" not in kinds, (name, kinds)
+
+
+def test_rk4_block_stays_contiguous_after_compaction(monkeypatch):
+    """An early-stopped bank's compacted blocks keep C-contiguous operands.
+
+    Boolean indexing of a block's columns returns a Fortran-ordered copy.
+    This bank compacts from 40 cells to 35, 30, ... and 12, each width
+    still wider than the blocks stepped in plain floats.
+    """
+    counting = CountingNumpy()
+    monkeypatch.setattr("epiwave.epidemic.np", counting)
+    bank = SeirBank(np.linspace(0.15, 0.6, 40), np.full(40, 0.1), np.full(40, 3.0))
+    bank.daily_removed(240, step=0.25, after_peak=10)
+    strided = {key: n for key, n in counting.calls.items() if "strided" in key[1]}
+    assert counting.calls and not strided, (
+        f"{sum(strided.values())} of {counting.calls.total()} calls strided")
 
 
 class TestDailyDeaths:
