@@ -16,11 +16,8 @@ from .calibration import (
 from .epidemic import (
     IntegrationError,
     SeirParams,
-    SeirState,
-    SirState,
     Trajectory,
     daily_deaths,
-    initial_state,
     integrate,
 )
 from .finalsize import FinalSizeResult, final_size_curve, solve_final_size
@@ -57,9 +54,7 @@ __all__ = [
     "IntegrationError",
     "SegmentationConfig",
     "SeirParams",
-    "SeirState",
     "SeriesError",
-    "SirState",
     "Trajectory",
     "WaveSegment",
     "average_top_candidates",
@@ -69,7 +64,6 @@ __all__ = [
     "final_size_curve",
     "fit_error",
     "grid_search",
-    "initial_state",
     "integrate",
     "load_excess",
     "load_series",

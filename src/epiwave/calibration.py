@@ -108,16 +108,6 @@ def default_horizon(n_obs: int) -> int:
     return max(2 * n_obs, 240)
 
 
-def _model_curves(bank, observed, horizon, step, seed) -> np.ndarray:
-    """The bank's daily removals over the days ``_score`` reads.
-
-    A cell's days after its peak-aligned window are past its peak, and they
-    read 0, which leaves its argmax and its window unchanged.
-    """
-    after_peak = observed.size - int(np.argmax(observed))
-    return bank.daily_removed(horizon, step=step, seed=seed, after_peak=after_peak)
-
-
 def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
     """Peak-align each model curve to the data, profile kappa, score.
 
@@ -180,7 +170,10 @@ def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
     n = bank.beta.size
     errors, kappas = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        dd = _model_curves(bank, obs, horizon, step, seed)
+        # A cell's days after its peak-aligned window are past its peak, and
+        # they read 0, which leaves its argmax and its window unchanged.
+        after_peak = obs.size - int(np.argmax(obs))
+        dd = bank.daily_removed(horizon, step=step, seed=seed, after_peak=after_peak)
         for first in range(0, n, _SCORE_ROWS):
             rows = slice(first, first + _SCORE_ROWS)
             errors[rows], kappas[rows] = _score(dd[rows], obs, metric)

@@ -29,7 +29,6 @@ from .epidemic import (
     IntegrationError,
     SeirParams,
     daily_deaths,
-    initial_state,
     integrate,
 )
 from .series import (
@@ -61,9 +60,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Numeric domains of a setting; a value holds when each of its numbers does.
-FINITE, POSITIVE, COUNT = "finite", "> 0", ">= 1"
+FINITE, POSITIVE, NONNEGATIVE, COUNT = "finite", "> 0", ">= 0", ">= 1"
+HORIZON = f">= {forecast.MIN_HORIZON_DAYS}"
 _HOLDS = {FINITE: math.isfinite, POSITIVE: lambda x: 0 < x < math.inf,
-          COUNT: lambda x: x >= 1}
+          NONNEGATIVE: lambda x: 0 <= x < math.inf, COUNT: lambda x: x >= 1,
+          HORIZON: lambda x: x >= forecast.MIN_HORIZON_DAYS}
 
 
 @dataclass(frozen=True)
@@ -347,8 +348,7 @@ def cmd_finalsize(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = SeirParams(args.beta, args.eta, args.epsilon)
-    initial = initial_state(args.model, args.seed_fraction)
-    traj = integrate(args.model, initial, params, args.days, args.step)
+    traj = integrate(args.model, params, args.days, args.step, args.seed_fraction)
     deaths = None
     if args.kappa is not None:
         deaths = daily_deaths(traj, args.kappa, start_date=args.start_date)
@@ -363,8 +363,9 @@ def cmd_simulate(args) -> int:
 _SOURCE = (Setting("--input", None), Setting("--fixture", None, str, fixtures.FIXTURES))
 _SEG = waves.SegmentationConfig  # its field defaults
 _SEGMENTATION = (
-    Setting("--start-threshold", "start_threshold", float, FINITE, _SEG.start_threshold),
-    Setting("--end-threshold", "end_threshold", float, FINITE, _SEG.end_threshold),
+    Setting("--start-threshold", "start_threshold", float, NONNEGATIVE,
+            _SEG.start_threshold),
+    Setting("--end-threshold", "end_threshold", float, NONNEGATIVE, _SEG.end_threshold),
     Setting("--min-persistence", "min_persistence_days", int, COUNT,
             _SEG.min_persistence_days),
     Setting("--min-wave-days", "min_wave_days", int, COUNT, _SEG.min_wave_days),
@@ -397,10 +398,10 @@ COMMANDS = {
         Setting("--prior-report", None, required=True, repeat=True),
         Setting("--top-n", "top_n", int, COUNT, 10),
         Setting("--start-date", "start_date", _DATE, None, dt.date(2021, 11, 1)),
-        Setting("--horizon", "horizon", int, COUNT, 120),
+        Setting("--horizon", "horizon", int, HORIZON, 120),
     )),
     "finalsize": ("solve the final-size equation", cmd_finalsize, (
-        Setting("--r0", None, float, FINITE),
+        Setting("--r0", None, float, NONNEGATIVE),
         Setting("--curve", None, _parse_axis, FINITE),
         Setting("--table", None),
     )),

@@ -4,7 +4,10 @@
 side by side for the grid search, the forecast bands and the synthetic waves.
 Both step the same (-S, E, I, R) state with the same IEEE operations: one cell
 at a time in plain floats (``_cell_rk4``) for a trajectory and a narrow bank,
-as one numpy block (``_rk4_stepper``) for a wide bank.
+as one numpy block (``_rk4_stepper``) for a wide bank.  Every run starts
+from the standard seed (``_seeded_start``): a fraction ``seed`` exposed and
+``seed`` infectious for SEIR, ``seed`` infectious for SIR, the rest
+susceptible.
 
 Compartments are population fractions.  R0 = beta/eta.  The observation
 map renders daily deaths as the daily increment of the removed compartment
@@ -44,49 +47,19 @@ class SeirParams:
             raise ValueError("all rates must be > 0")
 
 
-def _check_fractions(components, total):
-    if any(not -1e-9 <= c <= 1.0 + 1e-9 for c in components):
-        raise ValueError("compartments must lie in [0, 1]")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("compartments must sum to 1")
+def _seeded_start(seed: float, seir: bool = True) -> list[float]:
+    """The standard start as (-S, E, I, R): ``seed`` in E and in I for SEIR,
+    in I alone for SIR, and the rest susceptible.
 
-
-@dataclass(frozen=True)
-class SirState:
-    S: float
-    I: float
-    R: float
-
-    def __post_init__(self):
-        _check_fractions((self.S, self.I, self.R), self.S + self.I + self.R)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.I, self.R])
-
-
-@dataclass(frozen=True)
-class SeirState:
-    S: float
-    E: float
-    I: float
-    R: float
-
-    def __post_init__(self):
-        _check_fractions(
-            (self.S, self.E, self.I, self.R), self.S + self.E + self.I + self.R
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.E, self.I, self.R])
-
-
-def initial_state(system: str, seed: float = DEFAULT_SEED):
-    """Default seeding: symmetric E/I seed for SEIR, single I seed for SIR."""
-    if system == "seir":
-        return SeirState(S=1.0 - 2.0 * seed, E=seed, I=seed, R=0.0)
-    if system == "sir":
-        return SirState(S=1.0 - seed, I=seed, R=0.0)
-    raise ValueError(f"unknown system {system!r}")
+    ValueError unless every compartment lies in [0, 1], that is, unless
+    ``seed`` lies in [0, 0.5] for SEIR or in [0, 1] for SIR.
+    """
+    top = 0.5 if seir else 1.0
+    if not 0.0 <= seed <= top:
+        raise ValueError(f"seed must lie in [0, {top:g}]")
+    if seir:
+        return [-(1.0 - 2.0 * seed), seed, seed, 0.0]
+    return [-(1.0 - seed), 0.0, seed, 0.0]
 
 
 @dataclass
@@ -111,12 +84,13 @@ class Trajectory:
 
 def integrate(
     system: str,
-    initial,
     params: SeirParams,
     t_end: float,
     step: float = DEFAULT_STEP,
+    seed: float = DEFAULT_SEED,
 ) -> Trajectory:
-    """Classical 4th-order fixed-step integration from t=0 to t_end."""
+    """Classical 4th-order fixed-step integration from t=0 to t_end, from the
+    standard start seeded with ``seed`` (see ``_seeded_start``)."""
     if not 0 < step < np.inf:
         raise ValueError("step must be finite and > 0")
     if not t_end >= step:
@@ -127,11 +101,8 @@ def integrate(
     labels = ("S", "E", "I", "R") if seir else ("S", "I", "R")
     rows = [0, 1, 2, 3] if seir else [0, 2, 3]
 
+    start = _seeded_start(seed, seir)
     n_steps = int(np.floor(t_end / step + 1e-9))
-    y = np.zeros(4)
-    y[rows] = initial.as_array()
-    y[0] = -y[0]
-    start = y.tolist()
     cell = _cell_rk4(start, (-params.beta, params.epsilon, params.eta), step, seir)
     # Streamed into the array: a list of per-step tuples would hold ~1 MB.
     flat = chain(start, chain.from_iterable(islice(cell, n_steps)))
@@ -288,8 +259,7 @@ class SeirBank:
     def check_run(step: float, seed: float) -> int:
         """RK4 steps per day of ``daily_removed``; ValueError if unusable."""
         per_day = _steps_per_day(step)
-        if not 0.0 <= seed <= 0.5:
-            raise ValueError("seed must lie in [0, 0.5]")
+        _seeded_start(seed)
         return per_day
 
     def daily_removed(
@@ -311,16 +281,14 @@ class SeirBank:
         its C-contiguous operands.  A cell too fast for the step,
         step * (beta + eta + epsilon) > 2, never stops early.
         """
-        per_day = self.check_run(step, seed)
+        per_day = _steps_per_day(step)
         n = self.beta.size
+        y = np.empty((4, n))
+        y.T[:] = _seeded_start(seed)
         # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
         # every page.  Day-major, the days after the early stop stayed
         # unwritten, and peak memory hung on the kernel's huge-page choices.
         daily = np.zeros((n, n_days))
-        y = np.empty((4, n))
-        y[0] = -(1.0 - 2.0 * seed)
-        y[1:3] = seed
-        y[3] = 0.0
         rates = np.stack([-self.beta, self.epsilon, self.eta])
         advance = _rk4_stepper(y, rates, step)
         r_prev = np.zeros(n)

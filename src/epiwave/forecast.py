@@ -23,6 +23,8 @@ from .epidemic import (
 )
 from .series import DailyCountSeries
 
+MIN_HORIZON_DAYS = 14
+
 
 @dataclass
 class ForecastBand:
@@ -47,8 +49,8 @@ def predict_wave(
     """
     if not priors:
         raise ValueError("need at least one prior candidate")
-    if horizon_days < 14:
-        raise ValueError("horizon must be >= 14 days")
+    if horizon_days < MIN_HORIZON_DAYS:
+        raise ValueError(f"horizon must be >= {MIN_HORIZON_DAYS} days")
 
     betas = [c.params.beta for c in priors]
     etas = [c.params.eta for c in priors]

@@ -3,7 +3,8 @@ replaced, kept unchanged as references it must match bit for bit.
 
 ``_daily_new_removed`` is the cell-batched kernel the grid search used before
 ``SeirBank``; ``integrate`` is the Python-loop single-trajectory integrator
-that ``simulate`` and the forecast bands used.
+that ``simulate`` and the forecast bands used.  ``standard_start`` writes
+out the seeded start of ``epiwave.epidemic.integrate`` as a plain array.
 """
 import numpy as np
 
@@ -68,6 +69,14 @@ def _daily_new_removed(
     return np.maximum(np.diff(daily_r, axis=0), 0.0).T
 
 
+def standard_start(system: str, seed: float = DEFAULT_SEED) -> np.ndarray:
+    """(S, E, I, R) with ``seed`` exposed and infectious for SEIR; (S, I, R)
+    with ``seed`` infectious for SIR."""
+    if system == "seir":
+        return np.array([1.0 - 2.0 * seed, seed, seed, 0.0])
+    return np.array([1.0 - seed, seed, 0.0])
+
+
 def _array_rhs(y: np.ndarray, params: SeirParams, seir: bool) -> np.ndarray:
     if seir:
         S, E, I, _ = y
@@ -88,7 +97,8 @@ def integrate(
     t_end: float,
     step: float = DEFAULT_STEP,
 ) -> Trajectory:
-    """Classical 4th-order fixed-step integration from t=0 to t_end."""
+    """Classical 4th-order fixed-step integration from t=0 to t_end, from the
+    state ``initial``: (S, E, I, R) for SEIR, (S, I, R) for SIR."""
     if step <= 0:
         raise ValueError("step must be > 0")
     if t_end < step:
@@ -99,7 +109,7 @@ def integrate(
     labels = ("S", "E", "I", "R") if seir else ("S", "I", "R")
 
     n_steps = int(np.floor(t_end / step + 1e-9))
-    y = initial.as_array().astype(float)
+    y = np.array(initial, float)
     states = np.empty((n_steps + 1, y.size))
     states[0] = y
     h = step

@@ -23,7 +23,6 @@ from epiwave.calibration import GridSpec, fit_error, grid_search
 from epiwave.cli import main
 from epiwave.epidemic import (
     SeirParams,
-    initial_state,
     integrate,
 )
 from epiwave.finalsize import solve_final_size
@@ -118,10 +117,10 @@ def test_criterion_2_r0_column_consistency():
 
 def test_criterion_3_conservation_and_positivity():
     params = SeirParams(beta=0.231419776, eta=0.073068182, epsilon=3.0)
-    traj = integrate("seir", initial_state("seir"), params, 200, 0.05)
+    traj = integrate("seir", params, 200, 0.05)
     drift = np.abs(traj.states.sum(axis=1) - 1.0).max()
     floor = traj.states.min()
-    half = integrate("seir", initial_state("seir"), params, 200, 0.025)
+    half = integrate("seir", params, 200, 0.025)
     halving = np.abs(half.states[::2] - traj.states).max()
     ok = drift < 1e-9 and floor >= -1e-12 and halving < 1e-6
     report(

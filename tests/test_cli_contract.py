@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiwave import cli
-from epiwave.cli import COMMANDS, CONFIG_KEYS, COUNT, POSITIVE, build_parser, main
+from epiwave.cli import (
+    COMMANDS, CONFIG_KEYS, COUNT, HORIZON, NONNEGATIVE, POSITIVE, build_parser, main,
+)
 from epiwave.series import DailyCountSeries, save_series
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -74,8 +76,10 @@ def in_domain(s):
     if s.parse is cli._DATE:
         return st.dates(dt.date(2019, 1, 1), dt.date(2023, 1, 1)).map(_text)
     if s.parse is int:
-        return (st.integers(1, 30) if s.domain == COUNT else st.integers(-1, 1)).map(_text)
-    return (positive if s.domain == POSITIVE else st.floats(-5.0, 5.0)).map(_text)
+        ints = {COUNT: (1, 30), HORIZON: (14, 44), None: (-1, 1)}[s.domain]
+        return st.integers(*ints).map(_text)
+    floats = {POSITIVE: positive, NONNEGATIVE: st.floats(0.0, 5.0)}
+    return floats.get(s.domain, st.floats(-5.0, 5.0)).map(_text)
 
 
 def out_of_domain(s):
@@ -91,8 +95,12 @@ def out_of_domain(s):
     }[s.parse]
     if s.domain == POSITIVE:
         bad += ["-1,2,3", "1,2,0"] if s.parse is cli._parse_axis else ["0", "-1"]
+    if s.domain == NONNEGATIVE:
+        bad += ["-1", "-1e-300"]
     if s.domain == COUNT:
         bad += ["0", "-3"]
+    if s.domain == HORIZON:
+        bad += ["13", "0"]
     return st.sampled_from(bad)
 
 

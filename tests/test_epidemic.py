@@ -3,7 +3,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rk4_reference
 from epiwave.epidemic import (
@@ -11,10 +11,7 @@ from epiwave.epidemic import (
     IntegrationError,
     SeirBank,
     SeirParams,
-    SeirState,
-    SirState,
     daily_deaths,
-    initial_state,
     integrate,
 )
 
@@ -39,37 +36,31 @@ class TestBasicReproduction:
         assert params.beta / params.eta == 1.0
 
 
-@st.composite
-def initial_states(draw, system):
-    """A random state of the system with some compartments exactly 0."""
-    n = 4 if system == "seir" else 3
-    raw = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
-    for k in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
-        raw[k] = 0.0
-    total = sum(raw)
-    return (SeirState if system == "seir" else SirState)(*(x / total for x in raw))
+# The largest seed of each system: it leaves no one susceptible.
+TOP_SEED = {"sir": 1.0, "seir": 0.5}
 
 
 @st.composite
 def runs(draw, max_rate, steps):
-    """(system, initial state, params, t_end, step) for ``integrate``."""
+    """(system, params, t_end, step, seed) for ``integrate``.
+
+    A seed is 0 or at least 1e-7: from a subnormal seed, the kernel and
+    classical RK4 can differ in the last bit.
+    """
     system = draw(st.sampled_from(("sir", "seir")))
     params = SeirParams(*draw(st.tuples(*[st.floats(0.01, max_rate)] * 3)))
     step = draw(st.sampled_from(steps))
     t_end = draw(st.floats(step, 300 * step))
-    return system, draw(initial_states(system)), params, t_end, step
+    seed = draw(st.just(0.0) | st.floats(1e-7, TOP_SEED[system]))
+    return system, params, t_end, step, seed
 
 
 class TestIntegrate:
-    @pytest.mark.parametrize("initial", [
-        SirState(S=0.7, I=0.0, R=0.3),
-        SirState(S=1.0, I=0.0, R=0.0),
-        SeirState(S=0.8, E=0.0, I=0.0, R=0.2),
-    ])
-    def test_no_carriers_stay_constant(self, initial):
-        system = "seir" if isinstance(initial, SeirState) else "sir"
-        traj = integrate(system, initial, WAVE1_PARAMS, 30)
-        assert np.array_equal(traj.states, np.tile(initial.as_array(), (len(traj), 1)))
+    @pytest.mark.parametrize("system", ["sir", "seir"])
+    def test_no_carriers_stay_constant(self, system):
+        traj = integrate(system, WAVE1_PARAMS, 30, seed=0.0)
+        start = rk4_reference.standard_start(system, 0.0)
+        assert np.array_equal(traj.states, np.tile(start, (len(traj), 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(runs(max_rate=1.0, steps=(0.01, 0.05, 0.1)))
@@ -82,8 +73,10 @@ class TestIntegrate:
     @settings(max_examples=100, deadline=None)
     @given(runs(max_rate=10.0, steps=(0.002, 0.05, 0.07, 0.3, 0.5)))
     def test_equals_reference_integrator(self, run):
+        system, params, t_end, step, seed = run
+        start = rk4_reference.standard_start(system, seed)
         try:
-            expected = rk4_reference.integrate(*run)
+            expected = rk4_reference.integrate(system, start, params, t_end, step)
         except IntegrationError:
             with pytest.raises(IntegrationError):
                 integrate(*run)
@@ -94,11 +87,11 @@ class TestIntegrate:
         assert got.states.tobytes() == expected.states.tobytes()
 
     def test_disease_free_constant(self):
-        traj = integrate("seir", initial_state("seir", seed=0.0), WAVE1_PARAMS, 50)
+        traj = integrate("seir", WAVE1_PARAMS, 50, seed=0.0)
         assert np.array_equal(traj.states, np.tile(traj.states[0], (len(traj), 1)))
 
     def test_conservation_positivity_monotonicity(self):
-        traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 200)
+        traj = integrate("seir", WAVE1_PARAMS, 200)
         total = traj.states.sum(axis=1)
         assert np.abs(total - 1.0).max() < 1e-9
         assert traj.states.min() >= -1e-12
@@ -109,22 +102,22 @@ class TestIntegrate:
 
     def test_peak_matches_fine_step_reference(self):
         # golden values frozen from a step=0.001 reference run
-        traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 200, 0.05)
+        traj = integrate("seir", WAVE1_PARAMS, 200, 0.05)
         I = traj.compartment("I")
         k = int(np.argmax(I))
         assert traj.times[k] == pytest.approx(79.096, abs=0.05)
         assert I[k] == pytest.approx(0.3125697753, abs=1e-6)
 
     def test_step_halving_changes_little(self):
-        a = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 200, 0.05)
-        b = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 200, 0.025)
+        a = integrate("seir", WAVE1_PARAMS, 200, 0.05)
+        b = integrate("seir", WAVE1_PARAMS, 200, 0.025)
         assert np.abs(b.states[::2] - a.states).max() < 1e-6
 
     def test_fourth_order_convergence(self):
         errors = []
         for h in (0.2, 0.1, 0.05):
-            coarse = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 100, h)
-            fine = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 100, h / 8)
+            coarse = integrate("seir", WAVE1_PARAMS, 100, h)
+            fine = integrate("seir", WAVE1_PARAMS, 100, h / 8)
             errors.append(np.abs(fine.states[::8] - coarse.states).max())
         # each halving should shrink the error by roughly 2^4
         assert errors[0] / errors[1] > 8
@@ -134,10 +127,9 @@ class TestIntegrate:
         params = SeirParams(beta=0.23, eta=0.073, epsilon=1000.0)
         seed = 1e-5
         h = 0.002  # keep epsilon*h inside the RK4 stability region
-        sir = integrate("sir", SirState(S=1 - seed, I=seed, R=0.0), params, 120, h)
-        seir = integrate(
-            "seir", SeirState(S=1 - seed, E=0.0, I=seed, R=0.0), params, 120, h
-        )
+        # SEIR's exposed seed turns infectious at once, so SIR seeds both in I.
+        sir = integrate("sir", params, 120, h, seed=2 * seed)
+        seir = integrate("seir", params, 120, h, seed=seed)
         a = daily_deaths(sir, 1.0).values
         b = daily_deaths(seir, 1.0).values
         mask = a > a.max() * 1e-6
@@ -147,19 +139,34 @@ class TestIntegrate:
         # epsilon*h far outside the stability region
         params = SeirParams(beta=0.23, eta=0.073, epsilon=1e5)
         with pytest.raises(IntegrationError):
-            integrate("seir", initial_state("seir"), params, 200, 0.05)
+            integrate("seir", params, 200, 0.05)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            integrate("seir", initial_state("seir"), WAVE1_PARAMS, 10, 0.0)
+            integrate("seir", WAVE1_PARAMS, 10, 0.0)
         with pytest.raises(ValueError):
-            integrate("seir", initial_state("seir"), WAVE1_PARAMS, 0.01, 0.05)
+            integrate("seir", WAVE1_PARAMS, 0.01, 0.05)
         with pytest.raises(ValueError):
-            integrate("sird", initial_state("seir"), WAVE1_PARAMS, 10, 0.05)
+            integrate("sird", WAVE1_PARAMS, 10, 0.05)
 
     def test_nan_step_rejected_by_name(self):
         with pytest.raises(ValueError, match="step"):
-            integrate("seir", initial_state("seir"), WAVE1_PARAMS, 10, float("nan"))
+            integrate("seir", WAVE1_PARAMS, 10, float("nan"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rates=st.tuples(*[st.floats(0.01, 10.0)] * 3), per_day=st.integers(1, 20),
+       n_days=st.integers(1, 60), seed=st.floats(0.0, 0.5))
+def test_trajectory_starts_where_a_bank_does(rates, per_day, n_days, seed):
+    """A SEIR trajectory's unit-scale daily deaths are its cell's row of a
+    bank, bit for bit: both start from the one seeded state."""
+    params, step = SeirParams(*rates), 1.0 / per_day
+    try:
+        traj = integrate("seir", params, n_days, step, seed)
+    except IntegrationError:
+        assume(False)
+    row = SeirBank(*rates).daily_removed(n_days, step=step, seed=seed)[0]
+    assert daily_deaths(traj, 1.0).values.tobytes() == row.tobytes()
 
 
 class CountingNumpy:
@@ -231,16 +238,16 @@ def test_rk4_block_stays_contiguous_after_compaction(monkeypatch):
 
 class TestDailyDeaths:
     def test_disease_free_all_zero(self):
-        traj = integrate("seir", initial_state("seir", seed=0.0), WAVE1_PARAMS, 30)
+        traj = integrate("seir", WAVE1_PARAMS, 30, seed=0.0)
         out = daily_deaths(traj, 1e6)
         assert np.allclose(out.values, 0.0)
 
     def test_zero_scale_all_zero(self):
-        traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 30)
+        traj = integrate("seir", WAVE1_PARAMS, 30)
         assert np.allclose(daily_deaths(traj, 0.0).values, 0.0)
 
     def test_telescoping_total(self):
-        traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 150)
+        traj = integrate("seir", WAVE1_PARAMS, 150)
         scale = 15000.0
         out = daily_deaths(traj, scale)
         R = traj.compartment("R")
@@ -249,13 +256,13 @@ class TestDailyDeaths:
         assert out.values.sum() == pytest.approx(expected, abs=1e-9 * scale)
 
     def test_start_date_carried(self):
-        traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 5)
+        traj = integrate("seir", WAVE1_PARAMS, 5)
         out = daily_deaths(traj, 1.0, start_date=dt.date(2021, 3, 11))
         assert out.start == dt.date(2021, 3, 11)
         assert len(out) == 5
 
     def test_sub_day_trajectory_rejected(self):
-        traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 0.5, 0.05)
+        traj = integrate("seir", WAVE1_PARAMS, 0.5, 0.05)
         with pytest.raises(ValueError):
             daily_deaths(traj, 1.0)
 
@@ -268,14 +275,16 @@ def test_params_validation():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        SirState(S=0.9, I=0.3, R=0.0)  # sums to 1.2
-    with pytest.raises(ValueError):
-        SeirState(S=1.2, E=-0.2, I=0.0, R=0.0)
+    """A seed that would put a compartment outside [0, 1] is rejected."""
+    for system, top in TOP_SEED.items():
+        integrate(system, WAVE1_PARAMS, 1, seed=top)
+        for seed in (-1e-12, float(np.nextafter(top, 2.0)), float("nan")):
+            with pytest.raises(ValueError, match="seed"):
+                integrate(system, WAVE1_PARAMS, 1, seed=seed)
 
 
 def test_trajectory_csv_export(tmp_path):
-    traj = integrate("seir", initial_state("seir"), WAVE1_PARAMS, 1, 0.5)
+    traj = integrate("seir", WAVE1_PARAMS, 1, 0.5)
     traj.to_csv(tmp_path / "traj.csv")
     lines = (tmp_path / "traj.csv").read_text().splitlines()
     assert lines[0] == "t,S,E,I,R"

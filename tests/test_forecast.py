@@ -5,7 +5,7 @@ import pytest
 
 import rk4_reference
 from epiwave.calibration import FitCandidate
-from epiwave.epidemic import IntegrationError, SeirParams, daily_deaths, initial_state
+from epiwave.epidemic import IntegrationError, SeirParams, daily_deaths
 from epiwave.forecast import predict_wave
 
 START = dt.date(2021, 11, 1)
@@ -85,7 +85,7 @@ def test_curves_equal_reference_runs():
     for name in ("lower", "central", "upper"):
         a = band.assumptions[name]
         traj = rk4_reference.integrate(
-            "seir", initial_state("seir"),
+            "seir", rk4_reference.standard_start("seir"),
             SeirParams(a["beta"], a["eta"], a["epsilon"]), 240)
         curves[name] = daily_deaths(traj, a["kappa"], start_date=START).values
     stacked = np.vstack([curves["lower"], curves["central"], curves["upper"]])
