@@ -1,5 +1,6 @@
 import collections
 import datetime as dt
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 import rk4_reference
 from epiwave.epidemic import (
     _SCALAR_CELLS,
+    DEFAULT_STEP,
     IntegrationError,
     SeirBank,
     SeirParams,
+    _cell_rk4,
     daily_deaths,
     integrate,
 )
@@ -56,8 +59,21 @@ def runs(draw, max_rate, steps):
 
 
 class TestIntegrate:
+    # integrate starts at R = 0, so states with R > 0 go to the RK4 step
+    # integrate runs, as (-S, E, I, R).
+    @pytest.mark.parametrize("initial", [
+        ("sir", (0.7, 0.0, 0.0, 0.3)),
+        ("sir", (1.0, 0.0, 0.0, 0.0)),
+        ("seir", (0.8, 0.0, 0.0, 0.2)),
+    ])
+    def test_no_carriers_stay_constant(self, initial):
+        system, (s, e, i, r) = initial
+        rates = (-WAVE1_PARAMS.beta, WAVE1_PARAMS.epsilon, WAVE1_PARAMS.eta)
+        cell = _cell_rk4((-s, e, i, r), rates, DEFAULT_STEP, system == "seir")
+        assert list(islice(cell, 300)) == [(-s, e, i, r)] * 300
+
     @pytest.mark.parametrize("system", ["sir", "seir"])
-    def test_no_carriers_stay_constant(self, system):
+    def test_seed_zero_stays_constant(self, system):
         traj = integrate(system, WAVE1_PARAMS, 30, seed=0.0)
         start = rk4_reference.standard_start(system, 0.0)
         assert np.array_equal(traj.states, np.tile(start, (len(traj), 1)))
