@@ -65,6 +65,13 @@ HORIZON = f">= {forecast.MIN_HORIZON_DAYS}"
 _HOLDS = {FINITE: math.isfinite, POSITIVE: lambda x: 0 < x < math.inf,
           NONNEGATIVE: lambda x: 0 <= x < math.inf, COUNT: lambda x: x >= 1,
           HORIZON: lambda x: x >= forecast.MIN_HORIZON_DAYS}
+# Domains of a (min, max, steps) axis, which hold for the axis as a whole.
+GRID_AXIS, CURVE_AXIS = "> 0, min < max if steps > 1", ">= 0, min < max, steps >= 2"
+_AXIS_HOLDS = {
+    GRID_AXIS: lambda lo, hi, steps: (0 < lo < math.inf and 0 < hi < math.inf
+                                      and steps >= 1 and (lo < hi or steps == 1)),
+    CURVE_AXIS: lambda lo, hi, steps: 0 <= lo < hi < math.inf and steps >= 2,
+}
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,8 @@ class Setting:
         value = self.parse(text)
         if isinstance(self.domain, tuple):
             holds = value in self.domain
+        elif self.domain in _AXIS_HOLDS:
+            holds = _AXIS_HOLDS[self.domain](*value)
         else:
             numbers = value if isinstance(value, (tuple, list)) else (value,)
             holds = self.domain is None or all(_HOLDS[self.domain](x) for x in numbers)
@@ -386,9 +395,10 @@ COMMANDS = {
               _SOURCE + _SEGMENTATION),
     "fit": ("grid-search SEIR parameters for one wave", cmd_fit, _SOURCE + (
         Setting("--wave-index", "wave_index", int, None, 0),
-        Setting("--beta-grid", "beta_grid", _parse_axis, POSITIVE, GridSpec.beta_range),
-        Setting("--eta-grid", "eta_grid", _parse_axis, POSITIVE, GridSpec.eta_range),
-        Setting("--epsilon-grid", "epsilon_grid", _parse_axis, POSITIVE,
+        Setting("--beta-grid", "beta_grid", _parse_axis, GRID_AXIS,
+                GridSpec.beta_range),
+        Setting("--eta-grid", "eta_grid", _parse_axis, GRID_AXIS, GridSpec.eta_range),
+        Setting("--epsilon-grid", "epsilon_grid", _parse_axis, GRID_AXIS,
                 GridSpec.epsilon_range),
         Setting("--metric", "metric", str, calibration.METRICS,
                 _FIT_DEFAULTS["metric"].default),
@@ -402,7 +412,7 @@ COMMANDS = {
     )),
     "finalsize": ("solve the final-size equation", cmd_finalsize, (
         Setting("--r0", None, float, NONNEGATIVE),
-        Setting("--curve", None, _parse_axis, FINITE),
+        Setting("--curve", None, _parse_axis, CURVE_AXIS),
         Setting("--table", None),
     )),
     "simulate": ("integrate SIR/SEIR and export CSV", cmd_simulate, (

@@ -453,10 +453,17 @@ TRIANGLE_FIT = ["fit", "--fixture", "triangle", "--beta-grid", "0.2,0.3,2",
     (["simulate", "--step", "nan"], None, EXIT_USAGE, "--step"),
     (["finalsize", "--r0", "nan"], None, EXIT_USAGE, "--r0"),
     # values that each hold but do not fit together
-    (TRIANGLE_FIT + ["--beta-grid", "0.3,0.2,3"], None, EXIT_INVARIANT, None),
+    (TRIANGLE_FIT + ["--start-threshold", "1", "--end-threshold", "2"], None,
+     EXIT_INVARIANT, None),
     (["simulate", "--days", "5"], "step=0.3\nkappa_is_not_a_key=1", EXIT_PARSE,
      "kappa_is_not_a_key"),
     (["simulate", "--days", "5", "--kappa", "1"], "step=0.3", EXIT_INVARIANT, None),
+    # an axis outside its domain as a whole
+    (TRIANGLE_FIT + ["--beta-grid", "0.3,0.2,3"], None, EXIT_USAGE, "--beta-grid"),
+    (TRIANGLE_FIT, "eta_grid=0.2,0.2,2", EXIT_PARSE, "eta_grid"),
+    (["finalsize", "--curve", "-1,7,3"], None, EXIT_USAGE, "--curve"),
+    (["finalsize", "--curve", "7,1,3"], None, EXIT_USAGE, "--curve"),
+    (["finalsize", "--curve", "1,7,1"], None, EXIT_USAGE, "--curve"),
 ])
 def test_exit_code_by_category(tmp_path, capsys, argv, config, code, named):
     extra = []

@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from epiwave import cli
 from epiwave.cli import (
-    COMMANDS, CONFIG_KEYS, COUNT, HORIZON, NONNEGATIVE, POSITIVE, build_parser, main,
+    COMMANDS, CONFIG_KEYS, COUNT, CURVE_AXIS, GRID_AXIS, HORIZON, NONNEGATIVE, POSITIVE,
+    build_parser, main,
 )
 from epiwave.series import DailyCountSeries, save_series
 
@@ -68,9 +69,12 @@ def in_domain(s):
         return st.sampled_from(s.domain)
     # Steps that divide a day are drawn often enough for simulate to succeed.
     positive = st.sampled_from([0.05, 0.1, 0.25, 1.0]) | st.floats(0.01, 5.0)
-    if s.parse is cli._parse_axis:
-        bound = positive if s.domain == POSITIVE else st.floats(-1.0, 8.0)
-        return st.tuples(bound, bound, st.integers(1, 3)).map(_text)
+    if s.domain == GRID_AXIS:
+        axes = st.tuples(positive, positive, st.integers(1, 3))
+        return axes.filter(lambda a: a[0] < a[1] or a[2] == 1).map(_text)
+    if s.domain == CURVE_AXIS:
+        axes = st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0), st.integers(2, 3))
+        return axes.filter(lambda a: a[0] < a[1]).map(_text)
     if s.parse is cli._parse_floats:
         return st.lists(st.floats(0.0, 1.0), max_size=6).map(_text)
     if s.parse is cli._DATE:
@@ -94,7 +98,11 @@ def out_of_domain(s):
         float: ["nan", "inf", "-inf", "abc", ""],
     }[s.parse]
     if s.domain == POSITIVE:
-        bad += ["-1,2,3", "1,2,0"] if s.parse is cli._parse_axis else ["0", "-1"]
+        bad += ["0", "-1"]
+    if s.domain == GRID_AXIS:
+        bad += ["-1,2,3", "1,2,0", "0.3,0.2,5", "0.2,0.2,2", "0,1,1"]
+    if s.domain == CURVE_AXIS:
+        bad += ["-1,7,3", "-1e-300,1,2", "7,1,3", "1,1,2", "1,7,1", "1,7,0"]
     if s.domain == NONNEGATIVE:
         bad += ["-1", "-1e-300"]
     if s.domain == COUNT:

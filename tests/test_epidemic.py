@@ -1,5 +1,6 @@
 import collections
 import datetime as dt
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -14,6 +15,7 @@ from epiwave.epidemic import (
     SeirBank,
     SeirParams,
     _cell_rk4,
+    _rk4_stepper,
     daily_deaths,
     integrate,
 )
@@ -45,16 +47,12 @@ TOP_SEED = {"sir": 1.0, "seir": 0.5}
 
 @st.composite
 def runs(draw, max_rate, steps):
-    """(system, params, t_end, step, seed) for ``integrate``.
-
-    A seed is 0 or at least 1e-7: from a subnormal seed, the kernel and
-    classical RK4 can differ in the last bit.
-    """
+    """(system, params, t_end, step, seed) for ``integrate``."""
     system = draw(st.sampled_from(("sir", "seir")))
     params = SeirParams(*draw(st.tuples(*[st.floats(0.01, max_rate)] * 3)))
     step = draw(st.sampled_from(steps))
     t_end = draw(st.floats(step, 300 * step))
-    seed = draw(st.just(0.0) | st.floats(1e-7, TOP_SEED[system]))
+    seed = draw(st.floats(0.0, TOP_SEED[system]))
     return system, params, t_end, step, seed
 
 
@@ -85,14 +83,20 @@ class TestIntegrate:
         assert np.abs(traj.states.sum(axis=1) - 1.0).max() < 1e-9
         assert traj.states.min() >= -1e-12
 
-    # Rates up to 10 at step 0.5 include runs that blow up in both.
+    # Rates up to 10 at step 0.5 include runs that blow up in both.  Doubling
+    # is exact only in the normal range, so a run whose classical RK4 rounds
+    # a product into the subnormal range, as from a seed near the smallest
+    # normal float, may differ in the last bit; it is skipped.
     @settings(max_examples=100, deadline=None)
     @given(runs(max_rate=10.0, steps=(0.002, 0.05, 0.07, 0.3, 0.5)))
     def test_equals_reference_integrator(self, run):
         system, params, t_end, step, seed = run
         start = rk4_reference.standard_start(system, seed)
         try:
-            expected = rk4_reference.integrate(system, start, params, t_end, step)
+            with np.errstate(under="raise"):
+                expected = rk4_reference.integrate(system, start, params, t_end, step)
+        except FloatingPointError:
+            assume(False)
         except IntegrationError:
             with pytest.raises(IntegrationError):
                 integrate(*run)
@@ -188,15 +192,28 @@ def test_trajectory_starts_where_a_bank_does(rates, per_day, n_days, seed):
 class CountingNumpy:
     """numpy, except that each multiply, add and subtract call is counted by
     ufunc name and operand kinds: 'contiguous' or 'strided' for an array, the
-    type name for anything else."""
+    type name for anything else.  Each array it makes is counted in ``made``
+    by name and shape: those of the constructors, and each result of a
+    counted call that got no ``out``."""
 
     COUNTED = ("multiply", "add", "subtract")
+    CONSTRUCTORS = ("array", "asarray", "ascontiguousarray", "empty", "zeros",
+                    "ones", "full", "empty_like", "zeros_like", "ones_like",
+                    "full_like", "copy", "stack", "concatenate", "compress")
 
     def __init__(self):
         self.calls = collections.Counter()
+        self.made = collections.Counter()
 
     def __getattr__(self, name):
         func = getattr(np, name)
+        if name in self.CONSTRUCTORS:
+            def made(*args, **kwargs):
+                result = func(*args, **kwargs)
+                self.made[name, result.shape] += 1
+                return result
+
+            return made
         if name not in self.COUNTED:
             return func
 
@@ -207,7 +224,10 @@ class CountingNumpy:
                 for a in (*args, *kwargs.values())
             )
             self.calls[name, kinds] += 1
-            return func(*args, **kwargs)
+            result = func(*args, **kwargs)
+            if len(args) <= func.nin and "out" not in kwargs:
+                self.made[name, result.shape] += 1
+            return result
 
         return counted
 
@@ -234,6 +254,46 @@ def test_rk4_step_dispatch_budget(monkeypatch):
     assert sum(hundred_days.values()) <= 27 * 4 * 100
     for name, kinds in hundred_days:
         assert "strided" not in kinds and "float" not in kinds, (name, kinds)
+
+
+def test_rk4_block_step_allocates_nothing(monkeypatch):
+    """A block stepper allocates its scratch blocks once, and a step nothing.
+
+    Each stage input is built in the 3-row stage block, so the scratch is
+    the 4-row total and slope blocks and that stage block; the step
+    constants are 0-d.  A temporary or an extra buffer in the step would
+    push a block's working set out of cache.  Temporaries made by operators
+    do not pass through ``np``, so the second half watches numpy's
+    allocations, which it reports to ``tracemalloc``, on an unpatched
+    4,096-cell block: 100 steps must not allocate one row's 32 KiB.
+    """
+    def block(m):
+        y = np.empty((4, m))
+        y.T[:] = (-(1.0 - 2e-5), 1e-5, 1e-5, 0.0)
+        beta = np.linspace(0.2, 0.3, m)
+        return y, np.stack([-beta, np.full(m, 3.0), np.full(m, 0.1)])
+
+    counting = CountingNumpy()
+    monkeypatch.setattr("epiwave.epidemic.np", counting)
+    m = _SCALAR_CELLS + 1
+    advance = _rk4_stepper(*block(m), 0.25)
+    assert sorted(shape for _, shape in counting.made.elements() if shape) == [
+        (3, m), (4, m), (4, m)]
+    counting.made.clear()
+    advance(100)
+    assert counting.calls and not counting.made
+
+    monkeypatch.undo()
+    advance = _rk4_stepper(*block(4096), 0.25)
+    advance(1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        advance(100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4096 * 8
 
 
 def test_rk4_block_stays_contiguous_after_compaction(monkeypatch):
