@@ -12,6 +12,7 @@ from .calibration import (
     average_top_candidates,
     fit_error,
     grid_search,
+    read_fit_report,
 )
 from .epidemic import (
     IntegrationError,
@@ -68,6 +69,7 @@ __all__ = [
     "load_excess",
     "load_series",
     "predict_wave",
+    "read_fit_report",
     "save_series",
     "segment_waves",
     "solve_final_size",

@@ -13,15 +13,16 @@ run their banks on one worker process per usable CPU where ``fork`` exists.
 """
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .epidemic import DEFAULT_SEED, DEFAULT_STEP, IntegrationError, SeirBank, SeirParams
-from .series import DailyCountSeries, write_csv
+from .series import DailyCountSeries, SeriesError, read_csv, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
 
@@ -95,18 +96,46 @@ class FitCandidate:
 
 @dataclass
 class FitReport:
-    """Ranked candidates plus per-axis minimum-error scans."""
+    """Ranked candidates plus the error of every cell, shape (nbeta, neta,
+    nepsilon); each scan pairs an axis value with its least error."""
 
     candidates: list[FitCandidate]
     grid: GridSpec
-    metric: str
-    beta_scan: list[tuple[float, float]] = field(default_factory=list)
-    eta_scan: list[tuple[float, float]] = field(default_factory=list)
+    surface: np.ndarray
+
+    @property
+    def beta_scan(self) -> list[tuple[float, float]]:
+        return list(zip(self.grid.beta_values.tolist(),
+                        self.surface.min(axis=(1, 2)).tolist()))
+
+    @property
+    def eta_scan(self) -> list[tuple[float, float]]:
+        return list(zip(self.grid.eta_values.tolist(),
+                        self.surface.min(axis=(0, 2)).tolist()))
 
     def to_csv(self, path) -> None:
         rows = ((c.r0, c.params.beta, c.params.eta, c.params.epsilon, c.kappa,
                  c.error_pct) for c in self.candidates)
         write_csv(path, ("r0", "beta", "eta", "epsilon", "kappa", "error_pct"), rows)
+
+
+def read_fit_report(path) -> list[FitCandidate]:
+    """The candidates of a fit_report.csv, in file order; SeriesError, naming
+    ``path:line``, for a row that no fit could have written."""
+    candidates = []
+    columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
+    for line, beta, eta, epsilon, kappa, error in read_csv(path, columns):
+        if not all(map(math.isfinite, (beta, eta, epsilon, kappa))):
+            raise SeriesError(f"{path}:{line}: non-finite rate or kappa")
+        if not (beta > 0 and eta > 0 and epsilon > 0):
+            raise SeriesError(f"{path}:{line}: rates must be > 0")
+        if kappa < 0 or error < 0:
+            raise SeriesError(f"{path}:{line}: negative kappa or error_pct")
+        params = SeirParams(beta, eta, epsilon)
+        candidates.append(FitCandidate(params, kappa, beta / eta, error))
+    if not candidates:
+        raise SeriesError(f"{path}: empty fit report")
+    return candidates
 
 
 def default_horizon(n_obs: int) -> int:
@@ -294,16 +323,7 @@ def grid_search(
         )
         for i in top
     ]
-    surface = errors.reshape(bv.size, ev.size, xv.size)
-    beta_scan = [(float(b), float(surface[i].min())) for i, b in enumerate(bv)]
-    eta_scan = [(float(e), float(surface[:, j].min())) for j, e in enumerate(ev)]
-    return FitReport(
-        candidates=candidates,
-        grid=grid,
-        metric=metric,
-        beta_scan=beta_scan,
-        eta_scan=eta_scan,
-    )
+    return FitReport(candidates, grid, errors.reshape(bv.size, ev.size, xv.size))
 
 
 def average_top_candidates(

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import calibration, finalsize, fixtures, forecast, mortality, waves
-from .calibration import FitCandidate, GridSpec
+from .calibration import GridSpec
 from .epidemic import (
     DEFAULT_SEED,
     DEFAULT_STEP,
@@ -210,7 +210,7 @@ def _say(args, message: str) -> None:
 def _segments(args):
     """The input excess series and its waves under the segmentation settings."""
     if args.fixture:
-        excess = fixtures.get_fixture(args.fixture)
+        excess = fixtures.FIXTURES[args.fixture]()
     elif args.input:
         excess = load_excess(_resolve(args.input))
     else:
@@ -237,16 +237,11 @@ def cmd_excess(args) -> int:
         values=np.concatenate([p.values for p in expected_parts]),
     )
     if args.smoothing == "pre":
-        excess = mortality.excess_mortality(
-            mortality.trailing_average_7(reported),
-            mortality.trailing_average_7(expected),
-        )
-    elif args.smoothing == "post":
-        excess = mortality.trailing_average_7(
-            mortality.excess_mortality(reported, expected)
-        )
-    else:
-        excess = mortality.excess_mortality(reported, expected)
+        reported = mortality.trailing_average_7(reported)
+        expected = mortality.trailing_average_7(expected)
+    excess = mortality.excess_mortality(reported, expected)
+    if args.smoothing == "post":
+        excess = mortality.trailing_average_7(excess)
 
     out = _out_dir(args)
     save_series(excess, out / "excess.csv")
@@ -299,27 +294,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _read_fit_report(path) -> list[FitCandidate]:
-    candidates = []
-    columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
-    for line, beta, eta, epsilon, kappa, error in read_csv(_resolve(path), columns):
-        if not all(map(math.isfinite, (beta, eta, epsilon, kappa))):
-            raise SeriesError(f"{path}:{line}: non-finite rate or kappa")
-        if not (beta > 0 and eta > 0 and epsilon > 0):
-            raise SeriesError(f"{path}:{line}: rates must be > 0")
-        if kappa < 0 or error < 0:
-            raise SeriesError(f"{path}:{line}: negative kappa or error_pct")
-        params = SeirParams(beta, eta, epsilon)
-        candidates.append(FitCandidate(params, kappa, beta / eta, error))
-    if not candidates:
-        raise SeriesError(f"{path}: empty fit report")
-    return candidates
-
-
 def cmd_forecast(args) -> int:
     priors = []
     for path in args.prior_report:
-        candidates = _read_fit_report(path)
+        candidates = calibration.read_fit_report(_resolve(path))
         n = min(args.top_n, len(candidates))
         priors.append(calibration.average_top_candidates(candidates, n))
     band = forecast.predict_wave(priors, args.start_date, args.horizon)
@@ -369,7 +347,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_SOURCE = (Setting("--input", None), Setting("--fixture", None, str, fixtures.FIXTURES))
+_SOURCE = (Setting("--input", None),
+           Setting("--fixture", None, str, tuple(fixtures.FIXTURES)))
 _SEG = waves.SegmentationConfig  # its field defaults
 _SEGMENTATION = (
     Setting("--start-threshold", "start_threshold", float, NONNEGATIVE,

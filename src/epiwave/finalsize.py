@@ -16,7 +16,6 @@ import numpy as np
 class FinalSizeResult:
     r0: float
     r_f: float
-    residual: float  # r_f + exp(-r0*r_f) - 1
 
 
 def _residual(r0: float, r: float) -> float:
@@ -28,7 +27,7 @@ def solve_final_size(r0: float) -> FinalSizeResult:
     if not math.isfinite(r0) or r0 < 0:
         raise ValueError("r0 must be finite and >= 0")
     if r0 <= 1.0:
-        return FinalSizeResult(r0=r0, r_f=0.0, residual=0.0)
+        return FinalSizeResult(r0=r0, r_f=0.0)
     lo, hi = 1e-9, 1.0  # f(lo) < 0 < f(hi) for r0 > 1
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -36,8 +35,7 @@ def solve_final_size(r0: float) -> FinalSizeResult:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    return FinalSizeResult(r0=r0, r_f=root, residual=_residual(r0, root))
+    return FinalSizeResult(r0=r0, r_f=0.5 * (lo + hi))
 
 
 def final_size_curve(

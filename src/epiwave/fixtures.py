@@ -22,8 +22,6 @@ ISTANBUL_WAVES = (
     (dt.date(2021, 10, 1), 30, 40, 6000.0),
 )
 
-FIXTURES = ("synthetic-istanbul", "triangle")
-
 
 def triangle_excess(
     peak_value: float = 100.0,
@@ -41,13 +39,13 @@ def triangle_excess(
     )
 
 
-def synthetic_istanbul(waves=ISTANBUL_WAVES) -> ExcessSeries:
+def synthetic_istanbul() -> ExcessSeries:
     """Four tent-shaped waves on a zero baseline, 2020-01-01 onward."""
     start = dt.date(2020, 1, 1)
-    last_end = max(w[0] + dt.timedelta(days=w[1] + w[2]) for w in waves)
+    last_end = max(w[0] + dt.timedelta(days=w[1] + w[2]) for w in ISTANBUL_WAVES)
     n_days = (last_end - start).days + 31
     values = np.zeros(n_days)
-    for wave_start, rise, fall, total in waves:
+    for wave_start, rise, fall, total in ISTANBUL_WAVES:
         tent = np.concatenate(
             [np.linspace(0.0, 1.0, rise + 1), np.linspace(1.0, 0.0, fall + 1)[1:]]
         )
@@ -84,9 +82,5 @@ def synthetic_wave(
     )
 
 
-def get_fixture(name: str) -> ExcessSeries:
-    if name == "synthetic-istanbul":
-        return synthetic_istanbul()
-    if name == "triangle":
-        return triangle_excess()
-    raise ValueError(f"unknown fixture {name!r} (choose from {', '.join(FIXTURES)})")
+# The builder of each excess series that --fixture names.
+FIXTURES = {"synthetic-istanbul": synthetic_istanbul, "triangle": triangle_excess}

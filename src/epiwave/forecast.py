@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import FitCandidate
+from .calibration import FitCandidate, average_top_candidates
 from .epidemic import (
     DEFAULT_SEED,
     DEFAULT_STEP,
@@ -52,12 +52,11 @@ def predict_wave(
     if horizon_days < MIN_HORIZON_DAYS:
         raise ValueError(f"horizon must be >= {MIN_HORIZON_DAYS} days")
 
+    mean = average_top_candidates(priors, len(priors))
+    central_p, kappa = mean.params, mean.kappa
+    epsilon = central_p.epsilon
     betas = [c.params.beta for c in priors]
     etas = [c.params.eta for c in priors]
-    epsilon = float(np.mean([c.params.epsilon for c in priors]))
-    kappa = float(np.mean([c.kappa for c in priors]))
-
-    central_p = SeirParams(float(np.mean(betas)), float(np.mean(etas)), epsilon)
     lower_p = SeirParams(min(betas), max(etas), epsilon)
     upper_p = SeirParams(max(betas), min(etas), epsilon)
 

@@ -19,6 +19,7 @@ from epiwave.calibration import (
     average_top_candidates,
     fit_error,
     grid_search,
+    read_fit_report,
 )
 from epiwave.epidemic import IntegrationError, SeirParams
 from epiwave.fixtures import synthetic_wave
@@ -142,6 +143,23 @@ class TestGridSearch:
             with pytest.raises(IntegrationError, match="no grid cell"):
                 grid_search(wave, GridSpec(grid.beta_range, grid.eta_range,
                                            (1e5, 1e5, 1)))
+
+    def test_scans_are_surface_minima(self, wave):
+        # Three betas and two etas, so that a swapped axis shows; the
+        # epsilon = 1e5 cells blow up and score inf.
+        grid = GridSpec((0.22, 0.24, 3), (0.13, 0.15, 2), (3.0, 1e5, 2))
+        report = grid_search(wave, grid, top_k=grid.n_cells)
+        surface = report.surface
+        assert surface.shape == (3, 2, 2) and np.isinf(surface[:, :, 1]).all()
+        axes = grid.beta_values.tolist(), grid.eta_values.tolist()
+        for c in report.candidates:
+            i, j = axes[0].index(c.params.beta), axes[1].index(c.params.eta)
+            k = grid.epsilon_values.tolist().index(c.params.epsilon)
+            assert surface[i, j, k] == c.error_pct
+        assert report.beta_scan == [(b, surface[i].min())
+                                    for i, b in enumerate(axes[0])]
+        assert report.eta_scan == [(e, surface[:, j].min())
+                                   for j, e in enumerate(axes[1])]
 
     def test_tie_break_is_lexicographic(self, wave, monkeypatch):
         # force every cell to the same score; ranking must fall back to
@@ -385,3 +403,19 @@ def test_report_csv_shape(tmp_path, wave):
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "r0,beta,eta,epsilon,kappa,error_pct"
     assert len(lines) == 11  # header + ten ranked rows
+
+
+def test_fit_report_reads_back(tmp_path, wave):
+    # Every cell, the blown-up ones with inf errors too.
+    grid = GridSpec((0.22, 0.24, 2), (0.13, 0.15, 2), (3.0, 1e5, 2))
+    report = grid_search(wave, grid, top_k=grid.n_cells)
+    report.to_csv(tmp_path / "fit_report.csv")
+
+    def bits(candidates):
+        return [tuple(map(float.hex, (c.params.beta, c.params.eta, c.params.epsilon,
+                                      c.kappa, c.r0, c.error_pct)))
+                for c in candidates]
+
+    read = read_fit_report(tmp_path / "fit_report.csv")
+    assert bits(read) == bits(report.candidates)
+    assert float("inf") in [c.error_pct for c in read]

@@ -33,7 +33,6 @@ def test_below_threshold_no_epidemic():
 def test_residual_bound():
     for r0 in np.linspace(0.0, 12.0, 61):
         result = solve_final_size(float(r0))
-        assert abs(result.residual) < 1e-10
         assert abs(result.r_f + math.exp(-r0 * result.r_f) - 1.0) < 1e-10
 
 
