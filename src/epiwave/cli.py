@@ -61,9 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 # Numeric domains of a setting; a value holds when each of its numbers does.
 FINITE, POSITIVE, NONNEGATIVE, COUNT = "finite", "> 0", ">= 0", ">= 1"
-HORIZON = f">= {forecast.MIN_HORIZON_DAYS}"
+UNIT, HORIZON = "in [0, 1]", f">= {forecast.MIN_HORIZON_DAYS}"
 _HOLDS = {FINITE: math.isfinite, POSITIVE: lambda x: 0 < x < math.inf,
           NONNEGATIVE: lambda x: 0 <= x < math.inf, COUNT: lambda x: x >= 1,
+          UNIT: lambda x: 0 <= x <= 1,
           HORIZON: lambda x: x >= forecast.MIN_HORIZON_DAYS}
 # Domains of a (min, max, steps) axis, which hold for the axis as a whole.
 GRID_AXIS, CURVE_AXIS = "> 0, min < max if steps > 1", ">= 0, min < max, steps >= 2"
@@ -224,18 +225,9 @@ def _segments(args):
 def cmd_excess(args) -> int:
     reported = load_series(_resolve(args.reported))
     histories = [load_series(_resolve(p)) for p in args.history]
-    if len(args.weights) != len(histories):
-        raise ValueError(f"{len(args.weights)} weights for {len(histories)} histories")
     weights = mortality.BaselineWeights(tuple(args.weights))
-
-    expected_parts = [
-        mortality.expected_deaths(histories, weights, year)
-        for year in range(reported.start.year, reported.end.year + 1)
-    ]
-    expected = DailyCountSeries(
-        start=expected_parts[0].start,
-        values=np.concatenate([p.values for p in expected_parts]),
-    )
+    expected = mortality.expected_deaths(histories, weights,
+                                         reported.start, reported.end)
     if args.smoothing == "pre":
         reported = mortality.trailing_average_7(reported)
         expected = mortality.trailing_average_7(expected)
@@ -366,7 +358,7 @@ COMMANDS = {
     "excess": ("build excess-mortality series", cmd_excess, (
         Setting("--reported", None, required=True),
         Setting("--history", None, required=True, repeat=True),
-        Setting("--weights", "weights", _parse_floats, FINITE,
+        Setting("--weights", "weights", _parse_floats, UNIT,
                 list(mortality.DEFAULT_WEIGHTS)),
         Setting("--smoothing", "smoothing", str, ("pre", "post", "none"), "pre"),
     )),
@@ -402,7 +394,7 @@ COMMANDS = {
         Setting("--days", "days", int, COUNT, 200),
         Setting("--step", "step", float, POSITIVE, DEFAULT_STEP),
         Setting("--seed-fraction", "seed_fraction", float, FINITE, DEFAULT_SEED),
-        Setting("--kappa", None, float, FINITE),
+        Setting("--kappa", None, float, NONNEGATIVE),
         Setting("--start-date", "start_date", _DATE, None, dt.date(2020, 3, 1)),
     )),
 }

@@ -10,7 +10,7 @@ import datetime as dt
 
 import numpy as np
 
-from .epidemic import DEFAULT_SEED, DEFAULT_STEP, SeirBank, SeirParams
+from .epidemic import SeirBank, SeirParams
 from .series import DailyCountSeries, ExcessSeries
 
 # (start date, rise days, fall days, total deaths); the fourth wave is an
@@ -61,14 +61,12 @@ def synthetic_wave(
     start_date: dt.date = dt.date(2020, 3, 1),
     threshold: float = 5.0,
     horizon_days: int = 730,
-    step: float = DEFAULT_STEP,
-    seed: float = DEFAULT_SEED,
 ) -> DailyCountSeries:
     """Model-generated daily-deaths wave, sliced where the curve exceeds
     ``threshold`` deaths/day around its peak.  Used as a known-truth
     calibration target."""
     bank = SeirBank(params.beta, params.eta, params.epsilon)
-    dd = kappa * bank.daily_removed(horizon_days, step=step, seed=seed)[0]
+    dd = kappa * bank.daily_removed(horizon_days)[0]
     peak = int(np.argmax(dd))
     above = dd >= threshold
     lo = peak

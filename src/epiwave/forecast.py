@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import FitCandidate, average_top_candidates
-from .epidemic import (
-    DEFAULT_SEED,
-    DEFAULT_STEP,
-    IntegrationError,
-    SeirBank,
-    SeirParams,
-)
+from .epidemic import IntegrationError, SeirBank, SeirParams
 from .series import DailyCountSeries
 
 MIN_HORIZON_DAYS = 14
@@ -38,9 +32,6 @@ def predict_wave(
     priors: list[FitCandidate],
     start_date: dt.date,
     horizon_days: int,
-    *,
-    step: float = DEFAULT_STEP,
-    seed: float = DEFAULT_SEED,
 ) -> ForecastBand:
     """Central/lower/upper daily-deaths curves over the forecast horizon.
 
@@ -63,7 +54,7 @@ def predict_wave(
     bands = (lower_p, central_p, upper_p)
     bank = SeirBank([p.beta for p in bands], [p.eta for p in bands], [epsilon] * 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        curves = kappa * bank.daily_removed(horizon_days, step=step, seed=seed)
+        curves = kappa * bank.daily_removed(horizon_days)
     if not np.all(np.isfinite(curves)):
         raise IntegrationError("non-finite forecast curve; check step and rates")
     # Repair any pointwise ordering violations across the three curves.

@@ -1,8 +1,9 @@
 """Excess-mortality construction: smoothing, multi-year baseline, subtraction.
 
-Expected deaths for a target year are a weighted combination of matched
-calendar days from prior years (default 40/30/20/5/5 percent, most recent
-year first).  Excess mortality is reported minus expected on the overlap.
+Expected deaths on each day of a span, which may cross years, are a weighted
+combination of the same calendar day in prior years (default 40/30/20/5/5
+percent, most recent year first).  Excess mortality is reported minus
+expected on the overlap.
 """
 from __future__ import annotations
 
@@ -39,50 +40,43 @@ def trailing_average_7(series: DailySeries) -> DailySeries:
 
 
 def _month_day_map(history: DailyCountSeries) -> dict[tuple[int, int], float]:
+    """Value by (month, day); a missing Feb 29 is the mean of Feb 28 and Mar 1."""
     table: dict[tuple[int, int], float] = {}
     for day, value in zip(history.dates(), history.values):
         key = (day.month, day.day)
         if key in table:
             raise SeriesError(f"history spans more than one year (repeats {key})")
         table[key] = float(value)
+    if (2, 29) not in table and (2, 28) in table and (3, 1) in table:
+        table[(2, 29)] = 0.5 * (table[(2, 28)] + table[(3, 1)])
     return table
 
 
 def expected_deaths(
     histories: list[DailyCountSeries],
     weights: BaselineWeights,
-    target_year: int,
+    first: dt.date,
+    last: dt.date,
 ) -> DailyCountSeries:
-    """Weighted per-calendar-day baseline for ``target_year``.
+    """Weighted per-calendar-day baseline for each day of [first, last].
 
-    Alignment is by (month, day), not day-of-year index.  A leap day in the
-    target year with no leap-day history uses the mean of that history's
-    Feb 28 and Mar 1; a history's leap day is ignored for non-leap targets.
+    Alignment is by (month, day), not day-of-year index, so the span may
+    cross years.  A leap day in the span with no leap-day history uses the
+    mean of that history's Feb 28 and Mar 1; a history's leap day is ignored
+    outside leap years.
     """
     if len(histories) != len(weights.weights):
-        raise SeriesError(
-            f"{len(weights.weights)} weights but {len(histories)} histories"
-        )
+        raise ValueError(f"{len(weights.weights)} weights for {len(histories)} histories")
     tables = [_month_day_map(h) for h in histories]
-
-    def lookup(table, key):
-        if key in table:
-            return table[key]
-        if key == (2, 29):
-            try:
-                return 0.5 * (table[(2, 28)] + table[(3, 1)])
-            except KeyError:
-                pass
-        raise SeriesError(f"history missing month-day {key[0]:02d}-{key[1]:02d}")
-
-    start = dt.date(target_year, 1, 1)
-    n_days = (dt.date(target_year + 1, 1, 1) - start).days
-    out = np.zeros(n_days)
-    for i in range(n_days):
-        day = start + dt.timedelta(days=i)
-        key = (day.month, day.day)
-        out[i] = sum(w * lookup(t, key) for w, t in zip(weights.weights, tables))
-    return DailyCountSeries(start=start, values=out)
+    days = [first + dt.timedelta(days=i) for i in range((last - first).days + 1)]
+    try:
+        values = [sum(w * t[(d.month, d.day)] for w, t in zip(weights.weights, tables))
+                  for d in days]
+    except KeyError as exc:
+        month, day = exc.args[0]
+        raise SeriesError(
+            f"history missing month-day {month:02d}-{day:02d}") from None
+    return DailyCountSeries(start=first, values=values)
 
 
 def excess_mortality(

@@ -176,7 +176,9 @@ def test_criterion_5_excess_mortality_identities():
         const_year(y, v)
         for y, v in zip(range(2019, 2014, -1), (100, 200, 300, 400, 500))
     ]
-    baseline = expected_deaths(hists, BaselineWeights(), 2020)
+    baseline = expected_deaths(
+        hists, BaselineWeights(), dt.date(2020, 1, 1), dt.date(2020, 12, 31)
+    )
     if not np.allclose(baseline.values, 205.0, atol=1e-12):
         failures.append("weighted baseline != 205/day")
 

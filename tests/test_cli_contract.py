@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from epiwave import cli
 from epiwave.cli import (
     COMMANDS, CONFIG_KEYS, COUNT, CURVE_AXIS, GRID_AXIS, HORIZON, NONNEGATIVE, POSITIVE,
-    build_parser, main,
+    UNIT, build_parser, main,
 )
 from epiwave.series import DailyCountSeries, save_series
 
@@ -109,6 +109,8 @@ def out_of_domain(s):
         bad += ["0", "-3"]
     if s.domain == HORIZON:
         bad += ["13", "0"]
+    if s.domain == UNIT:
+        bad += ["1.5", "0.5,-0.5", "-1e-300"]
     return st.sampled_from(bad)
 
 

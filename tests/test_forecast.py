@@ -104,5 +104,3 @@ def test_argument_validation():
         predict_wave([], START, 90)
     with pytest.raises(ValueError):
         predict_wave([candidate(0.23, 0.14)], START, 7)
-    with pytest.raises(ValueError):
-        predict_wave([candidate(0.23, 0.14)], START, 90, seed=0.6)

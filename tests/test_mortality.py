@@ -17,6 +17,10 @@ def const_year(year, value):
     return DailyCountSeries(start=dt.date(year, 1, 1), values=np.full(n, float(value)))
 
 
+def whole_year(year):
+    return dt.date(year, 1, 1), dt.date(year, 12, 31)
+
+
 def series(values, start=dt.date(2020, 1, 1)):
     return DailyCountSeries(start=start, values=np.asarray(values, float))
 
@@ -73,7 +77,7 @@ class TestBaselineWeights:
 class TestExpectedDeaths:
     def test_convexity_on_identical_histories(self):
         hists = [const_year(y, 100.0) for y in range(2019, 2014, -1)]
-        out = expected_deaths(hists, BaselineWeights(), 2020)
+        out = expected_deaths(hists, BaselineWeights(), *whole_year(2020))
         assert np.allclose(out.values, 100.0)
 
     def test_weighted_dot_product(self):
@@ -81,7 +85,7 @@ class TestExpectedDeaths:
             const_year(y, v)
             for y, v in zip(range(2019, 2014, -1), (100, 200, 300, 400, 500))
         ]
-        out = expected_deaths(hists, BaselineWeights(), 2020)
+        out = expected_deaths(hists, BaselineWeights(), *whole_year(2020))
         assert np.allclose(out.values, 205.0)
         assert len(out) == 366  # leap target
 
@@ -91,31 +95,63 @@ class TestExpectedDeaths:
         mar1 = (dt.date(2019, 3, 1) - dt.date(2019, 1, 1)).days
         h.values[feb28] = 10.0
         h.values[mar1] = 30.0
-        out = expected_deaths([h], BaselineWeights((1.0,)), 2020)
+        out = expected_deaths([h], BaselineWeights((1.0,)), *whole_year(2020))
         assert out.values[out.index_of(dt.date(2020, 2, 29))] == pytest.approx(20.0)
 
     def test_single_history_weight_one_identity(self):
         h = const_year(2019, 0.0)
         h.values[:] = np.arange(365.0)
-        out = expected_deaths([h], BaselineWeights((1.0,)), 2021)
+        out = expected_deaths([h], BaselineWeights((1.0,)), *whole_year(2021))
         assert np.array_equal(out.values, h.values)
 
     def test_history_leap_day_dropped_for_non_leap_target(self):
         h = const_year(2020, 50.0)  # leap history
-        out = expected_deaths([h], BaselineWeights((1.0,)), 2021)
+        out = expected_deaths([h], BaselineWeights((1.0,)), *whole_year(2021))
         assert len(out) == 365
         assert np.allclose(out.values, 50.0)
 
     def test_count_mismatch(self):
-        with pytest.raises(SeriesError, match="histories"):
-            expected_deaths([const_year(2019, 1.0)], BaselineWeights(), 2020)
+        # A setting that does not fit the inputs, not a bad series.
+        with pytest.raises(ValueError, match="^5 weights for 1 histories$") as info:
+            expected_deaths([const_year(2019, 1.0)], BaselineWeights(), *whole_year(2020))
+        assert type(info.value) is ValueError
 
     def test_missing_month_day(self):
         partial = DailyCountSeries(
             start=dt.date(2019, 1, 1), values=np.ones(200)
         )
         with pytest.raises(SeriesError, match="missing month-day"):
-            expected_deaths([partial], BaselineWeights((1.0,)), 2021)
+            expected_deaths([partial], BaselineWeights((1.0,)), *whole_year(2021))
+
+
+    def test_span_equals_windowed_years(self):
+        rng = np.random.default_rng(3)
+        hists = [series(rng.uniform(100, 400, size=len(const_year(y, 0))),
+                        start=dt.date(y, 1, 1)) for y in range(2019, 2014, -1)]
+        years = [expected_deaths(hists, BaselineWeights(), *whole_year(y))
+                 for y in (2020, 2021)]
+        first, last = dt.date(2020, 3, 5), dt.date(2021, 8, 17)
+        joined = DailyCountSeries(years[0].start,
+                                  np.concatenate([y.values for y in years]))
+        out = expected_deaths(hists, BaselineWeights(), first, last)
+        assert (out.start, out.end) == (first, last)
+        assert out.values.tobytes() == joined.window(first, last).values.tobytes()
+
+    def test_history_needs_only_the_span(self):
+        jan_jul = series(np.arange(1.0, 213.0), start=dt.date(2019, 1, 1))
+        out = expected_deaths([jan_jul], BaselineWeights((1.0,)),
+                              dt.date(2021, 2, 1), dt.date(2021, 3, 31))
+        assert np.array_equal(out.values, jan_jul.values[31:90])
+        with pytest.raises(SeriesError, match="missing month-day 08-01"):
+            expected_deaths([jan_jul], BaselineWeights((1.0,)),
+                            dt.date(2021, 7, 1), dt.date(2021, 8, 1))
+
+    def test_leap_day_inside_short_span(self):
+        h = series(np.arange(365.0) * 2.0 + 1.0, start=dt.date(2019, 1, 1))
+        out = expected_deaths([h], BaselineWeights((1.0,)),
+                              dt.date(2020, 2, 27), dt.date(2020, 3, 2))
+        feb27, feb28, mar1, mar2 = h.window(dt.date(2019, 2, 27), dt.date(2019, 3, 2)).values
+        assert out.values.tolist() == [feb27, feb28, 0.5 * (feb28 + mar1), mar1, mar2]
 
 
 class TestExcessMortality:
