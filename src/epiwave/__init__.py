@@ -21,7 +21,7 @@ from .epidemic import (
     daily_deaths,
     integrate,
 )
-from .finalsize import FinalSizeResult, final_size_curve, solve_final_size
+from .finalsize import final_size_curve, solve_final_size
 from .forecast import ForecastBand, predict_wave
 from .mortality import (
     BaselineWeights,
@@ -47,7 +47,6 @@ __all__ = [
     "DailyCountSeries",
     "DailySeries",
     "ExcessSeries",
-    "FinalSizeResult",
     "FitCandidate",
     "FitReport",
     "ForecastBand",

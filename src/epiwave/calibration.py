@@ -21,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epidemic import DEFAULT_SEED, DEFAULT_STEP, IntegrationError, SeirBank, SeirParams
+from .epidemic import (DEFAULT_SEED, DEFAULT_STEP, IntegrationError, SeirParams,
+                       check_run, daily_removed)
 from .series import DailyCountSeries, SeriesError, read_csv, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
 
 # Cells per bank, measured, not derived from a cache size: at 21 doubles per
 # cell an 8,192-cell bank holds 1.31 MiB, more than a 1 MiB per-core L2.
-# 8,192 beat 2,048, 4,096 and 14,070 cells when SeirBank came in.  With the
+# 8,192 beat 2,048, 4,096 and 14,070 cells when the bank came in.  With the
 # 21-double step, banks of at most 6,000 cells (bank count rounded up to a
 # multiple of the workers) were not clearly faster on fit-oracle: median
 # 63.5k -> 66.3k cells/s over 10 alternating pairs, within the spread.
@@ -183,7 +184,7 @@ def _check_inputs(observed: DailyCountSeries, metric, step, seed, horizon_days):
     """Observed values and horizon; ValueError for unusable input, before any work."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    SeirBank.check_run(step, seed)
+    check_run(step, seed)
     obs = np.asarray(observed.values, float)
     if obs.size < 14:
         raise ValueError("observed wave must span at least 14 days")
@@ -201,15 +202,14 @@ def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
 
     A cell that blows up scores an infinite error, without a warning.
     """
-    bank = SeirBank(beta, eta, epsilon)
-    n = bank.beta.size
-    errors, kappas = np.empty(n), np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # A cell's days after its peak-aligned window are past its peak, and
         # they read 0, which leaves its argmax and its window unchanged.
         after_peak = obs.size - int(np.argmax(obs))
-        dd = bank.daily_removed(horizon, step=step, seed=seed, after_peak=after_peak)
-        for first in range(0, n, _SCORE_ROWS):
+        dd = daily_removed(beta, eta, epsilon, horizon, after_peak, step=step,
+                           seed=seed)
+        errors, kappas = np.empty(len(dd)), np.empty(len(dd))
+        for first in range(0, len(dd), _SCORE_ROWS):
             rows = slice(first, first + _SCORE_ROWS)
             errors[rows], kappas[rows] = _score(dd[rows], obs, metric)
     return errors, kappas

@@ -305,23 +305,24 @@ def cmd_forecast(args) -> int:
 def cmd_finalsize(args) -> int:
     if args.r0 is None and args.curve is None and args.table is None:
         raise UsageError("finalsize needs --r0, --curve or --table")
-    if args.r0 is not None:
-        _say(args, f"{finalsize.solve_final_size(args.r0).r_f:.3f}")
-    if args.curve is not None:
-        results = finalsize.final_size_curve(*args.curve)
-        out = _out_dir(args)
-        write_csv(out / "final_size_curve.csv", ("r0", "r_f"),
-                  ((r.r0, r.r_f) for r in results))
+    # Every requested part is read and solved before anything is written or
+    # printed, so a bad table leaves no partial output behind.
+    table = None
     if args.table is not None:
-        # Every row is read and solved before the output file is opened, so a
-        # bad row leaves no partial table behind.
         rows = read_csv(_resolve(args.table), {"wave": str, "r0": float})
         for line, label, _ in rows:
             if "\r" in label:  # csv.writer leaves a lone \r unquoted before 3.13
                 raise SeriesError(f"{args.table}:{line}: carriage return in "
                                   f"wave label {label!r}")
-        rows = [(label, r0, finalsize.solve_final_size(r0).r_f) for _, label, r0 in rows]
-        write_csv(_out_dir(args) / "herd_immunity.csv", ("wave", "r0", "r_f"), rows)
+        table = [(label, r0, finalsize.solve_final_size(r0)) for _, label, r0 in rows]
+    curve = None if args.curve is None else finalsize.final_size_curve(*args.curve)
+    r_f = None if args.r0 is None else finalsize.solve_final_size(args.r0)
+    if curve is not None:
+        write_csv(_out_dir(args) / "final_size_curve.csv", ("r0", "r_f"), curve)
+    if table is not None:
+        write_csv(_out_dir(args) / "herd_immunity.csv", ("wave", "r0", "r_f"), table)
+    if r_f is not None:
+        _say(args, f"{r_f:.3f}")
     return EXIT_OK
 
 

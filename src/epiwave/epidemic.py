@@ -1,10 +1,11 @@
 """SIR and SEIR compartmental models on one fixed-step RK4 scheme.
 
-``integrate`` runs one trajectory; ``SeirBank`` runs many SEIR parameter sets
-side by side for the grid search, the forecast bands and the synthetic waves.
-Both step the same (-S, E, I, R) state with the same IEEE operations: one cell
-at a time in plain floats (``_cell_rk4``) for a trajectory and a narrow bank,
-as one numpy block (``_rk4_stepper``) for a wide bank.  Every run starts
+``integrate`` runs one trajectory, behind every full model curve;
+``daily_removed`` runs many SEIR parameter sets side by side for the grid
+search, each only until its peak-aligned window is covered.  Both step the
+same (-S, E, I, R) state with the same IEEE operations: one cell at a time
+in plain floats (``_cell_rk4``) for a trajectory and a narrow bank, as one
+numpy block (``_rk4_stepper``) for a wide bank.  Every run starts
 from the standard seed (``_seeded_start``): a fraction ``seed`` exposed and
 ``seed`` infectious for SEIR, ``seed`` infectious for SIR, the rest
 susceptible.
@@ -252,100 +253,87 @@ def _rk4_stepper(y, rates, step: float):
     return advance
 
 
-class SeirBank:
-    """SEIR parameter sets integrated side by side by fixed-step RK4.
+def check_run(step: float, seed: float) -> int:
+    """RK4 steps per day of a SEIR run from ``seed``; ValueError if unusable."""
+    per_day = _steps_per_day(step)
+    _seeded_start(seed)
+    return per_day
+
+
+def daily_removed(
+    beta,
+    eta,
+    epsilon,
+    n_days: int,
+    after_peak: int,
+    *,
+    step: float = DEFAULT_STEP,
+    seed: float = DEFAULT_SEED,
+) -> np.ndarray:
+    """Daily increments of R of SEIR parameter sets integrated side by side
+    from the standard seed, shape (n, n_days): the grid search's bank.
+
+    Day d is R(d+1) - R(d), clipped at zero against round-off.  A cell stops
+    once its increments are past their maximum for good and the
+    ``after_peak`` days from its peak day on are integrated; its later days
+    read 0.  Stopped cells leave the bank in batches, and integration ends
+    when none is left.  The compacted state and rates are C-ordered copies,
+    so every later block step keeps its C-contiguous operands.  A cell too
+    fast for the step, step * (beta + eta + epsilon) > 2, never stops early.
 
     Each step does the same IEEE operations in the same order on every cell,
     so a cell's numbers do not depend on the bank it is integrated in.  They
     equal a classical RK4 run of the cell bit for bit unless a product
     underflows (see ``_rk4_stepper``).
     """
-
-    def __init__(self, beta, eta, epsilon):
-        self.beta, self.eta, self.epsilon = (
-            np.array(a, float, ndmin=1) for a in (beta, eta, epsilon)
-        )
-        if not (self.beta.ndim == 1
-                and self.beta.shape == self.eta.shape == self.epsilon.shape):
-            raise ValueError("beta, eta and epsilon must be 1-D and of one length")
-
-    @staticmethod
-    def check_run(step: float, seed: float) -> int:
-        """RK4 steps per day of ``daily_removed``; ValueError if unusable."""
-        per_day = _steps_per_day(step)
-        _seeded_start(seed)
-        return per_day
-
-    def daily_removed(
-        self,
-        n_days: int,
-        *,
-        step: float = DEFAULT_STEP,
-        seed: float = DEFAULT_SEED,
-        after_peak: int | None = None,
-    ) -> np.ndarray:
-        """Daily increments of R from the standard seed, shape (n, n_days).
-
-        Day d is R(d+1) - R(d), clipped at zero against round-off.  With
-        ``after_peak``, a cell stops once its increments are past their
-        maximum for good and the ``after_peak`` days from its peak day on are
-        integrated; its later days read 0.  Stopped cells leave the bank in
-        batches, and integration ends when none is left.  The compacted
-        state and rates are C-ordered copies, so every later block step keeps
-        its C-contiguous operands.  A cell too fast for the step,
-        step * (beta + eta + epsilon) > 2, never stops early.
-        """
-        per_day = _steps_per_day(step)
-        n = self.beta.size
-        y = np.empty((4, n))
-        y.T[:] = _seeded_start(seed)
-        # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
-        # every page.  Day-major, the days after the early stop stayed
-        # unwritten, and peak memory hung on the kernel's huge-page choices.
-        daily = np.zeros((n, n_days))
-        rates = np.stack([-self.beta, self.epsilon, self.eta])
-        advance = _rk4_stepper(y, rates, step)
-        r_prev = np.zeros(n)
-        cells = np.arange(n)
-        peak_value = np.full(n, -1.0)
-        peak_day = np.zeros(n, int)
-        stopped = np.zeros(n, bool)
-        # step * (beta + eta + epsilon) bounds |step * lambda| over the
-        # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
-        # after the peak, so such a cell runs the whole horizon.
-        stable = step * (self.beta + self.eta + self.epsilon) <= 2.0
-        for day in range(n_days):
-            if after_peak is not None:
-                # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0
-                # wherever I' = 0: once I' < 0 as well, I falls for good.
-                neg_beta, epsilon, eta = rates
-                falling = (stable & (neg_beta * y[0] < eta)
-                           & (epsilon * y[1] < eta * y[2]))
-            advance(per_day)
-            increment = np.maximum(y[3] - r_prev, 0.0)
-            r_prev[:] = y[3]
-            if after_peak is None:
-                daily[:, day] = increment
-                continue
-            increment[stopped] = 0.0
-            daily[cells, day] = increment
-            rising = increment > peak_value
-            peak_value[rising] = increment[rising]
-            peak_day[rising] = day
-            stopped |= falling & (peak_day + after_peak <= day + 1)
-            if 8 * np.count_nonzero(stopped) >= stopped.size:
-                keep = ~stopped
-                if not keep.any():
-                    break
-                # y[:, keep] would come back Fortran-ordered, and every later
-                # block step would then run on strided rows.
-                y = np.compress(keep, y, axis=1)
-                rates = np.compress(keep, rates, axis=1)
-                r_prev, cells = r_prev[keep], cells[keep]
-                peak_value, peak_day = peak_value[keep], peak_day[keep]
-                stopped, stable = stopped[keep], stable[keep]
-                advance = _rk4_stepper(y, rates, step)
-        return daily
+    per_day = check_run(step, seed)
+    beta, eta, epsilon = (np.array(a, float, ndmin=1) for a in (beta, eta, epsilon))
+    rates = np.stack([-beta, epsilon, eta])
+    n = beta.size
+    y = np.empty((4, n))
+    y.T[:] = _seeded_start(seed)
+    # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
+    # every page.  Day-major, the days after the early stop stayed
+    # unwritten, and peak memory hung on the kernel's huge-page choices.
+    daily = np.zeros((n, n_days))
+    advance = _rk4_stepper(y, rates, step)
+    r_prev = np.zeros(n)
+    cells = np.arange(n)
+    peak_value = np.full(n, -1.0)
+    peak_day = np.zeros(n, int)
+    stopped = np.zeros(n, bool)
+    # step * (beta + eta + epsilon) bounds |step * lambda| over the
+    # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
+    # after the peak, so such a cell runs the whole horizon.
+    stable = step * (beta + eta + epsilon) <= 2.0
+    for day in range(n_days):
+        # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0
+        # wherever I' = 0: once I' < 0 as well, I falls for good.
+        neg_beta, epsilon, eta = rates
+        falling = (stable & (neg_beta * y[0] < eta)
+                   & (epsilon * y[1] < eta * y[2]))
+        advance(per_day)
+        increment = np.maximum(y[3] - r_prev, 0.0)
+        r_prev[:] = y[3]
+        increment[stopped] = 0.0
+        daily[cells, day] = increment
+        rising = increment > peak_value
+        peak_value[rising] = increment[rising]
+        peak_day[rising] = day
+        stopped |= falling & (peak_day + after_peak <= day + 1)
+        if 8 * np.count_nonzero(stopped) >= stopped.size:
+            keep = ~stopped
+            if not keep.any():
+                break
+            # y[:, keep] would come back Fortran-ordered, and every later
+            # block step would then run on strided rows.
+            y = np.compress(keep, y, axis=1)
+            rates = np.compress(keep, rates, axis=1)
+            r_prev, cells = r_prev[keep], cells[keep]
+            peak_value, peak_day = peak_value[keep], peak_day[keep]
+            stopped, stable = stopped[keep], stable[keep]
+            advance = _rk4_stepper(y, rates, step)
+    return daily
 
 
 def daily_deaths(

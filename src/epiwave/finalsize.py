@@ -7,27 +7,20 @@ bisection, which cannot escape toward the trivial root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FinalSizeResult:
-    r0: float
-    r_f: float
 
 
 def _residual(r0: float, r: float) -> float:
     return r + math.exp(-r0 * r) - 1.0
 
 
-def solve_final_size(r0: float) -> FinalSizeResult:
+def solve_final_size(r0: float) -> float:
     """Positive root of the final-size equation; 0 at or below r0 = 1."""
     if not math.isfinite(r0) or r0 < 0:
         raise ValueError("r0 must be finite and >= 0")
     if r0 <= 1.0:
-        return FinalSizeResult(r0=r0, r_f=0.0)
+        return 0.0
     lo, hi = 1e-9, 1.0  # f(lo) < 0 < f(hi) for r0 > 1
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -35,15 +28,16 @@ def solve_final_size(r0: float) -> FinalSizeResult:
             lo = mid
         else:
             hi = mid
-    return FinalSizeResult(r0=r0, r_f=0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def final_size_curve(
     r0_min: float, r0_max: float, points: int
-) -> list[FinalSizeResult]:
-    """Final size over an even r0 grid; r_f is monotone non-decreasing."""
+) -> list[tuple[float, float]]:
+    """(r0, r_f) pairs over an even r0 grid; r_f is monotone non-decreasing."""
     if not 0 <= r0_min < r0_max:
         raise ValueError("need 0 <= r0_min < r0_max")
     if points < 2:
         raise ValueError("need at least 2 points")
-    return [solve_final_size(float(r0)) for r0 in np.linspace(r0_min, r0_max, points)]
+    r0s = np.linspace(r0_min, r0_max, points).tolist()
+    return [(r0, solve_final_size(r0)) for r0 in r0s]

@@ -10,7 +10,7 @@ import datetime as dt
 
 import numpy as np
 
-from .epidemic import SeirBank, SeirParams
+from .epidemic import SeirParams, daily_deaths, integrate
 from .series import DailyCountSeries, ExcessSeries
 
 # (start date, rise days, fall days, total deaths); the fourth wave is an
@@ -64,9 +64,8 @@ def synthetic_wave(
 ) -> DailyCountSeries:
     """Model-generated daily-deaths wave, sliced where the curve exceeds
     ``threshold`` deaths/day around its peak.  Used as a known-truth
-    calibration target."""
-    bank = SeirBank(params.beta, params.eta, params.epsilon)
-    dd = kappa * bank.daily_removed(horizon_days)[0]
+    calibration target.  Raises IntegrationError when the curve blows up."""
+    dd = daily_deaths(integrate("seir", params, horizon_days), kappa).values
     peak = int(np.argmax(dd))
     above = dd >= threshold
     lo = peak

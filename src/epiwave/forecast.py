@@ -8,13 +8,12 @@ and kappa take their prior means in all three bands.
 from __future__ import annotations
 
 import datetime as dt
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import FitCandidate, average_top_candidates
-from .epidemic import IntegrationError, SeirBank, SeirParams
+from .epidemic import SeirParams, daily_deaths, integrate
 from .series import DailyCountSeries
 
 MIN_HORIZON_DAYS = 14
@@ -35,8 +34,8 @@ def predict_wave(
 ) -> ForecastBand:
     """Central/lower/upper daily-deaths curves over the forecast horizon.
 
-    Raises IntegrationError when a curve is not finite (rates too fast for
-    the step).
+    Raises IntegrationError when a curve blows up (rates too fast for the
+    step).
     """
     if not priors:
         raise ValueError("need at least one prior candidate")
@@ -51,12 +50,8 @@ def predict_wave(
     lower_p = SeirParams(min(betas), max(etas), epsilon)
     upper_p = SeirParams(max(betas), min(etas), epsilon)
 
-    bands = (lower_p, central_p, upper_p)
-    bank = SeirBank([p.beta for p in bands], [p.eta for p in bands], [epsilon] * 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        curves = kappa * bank.daily_removed(horizon_days)
-    if not np.all(np.isfinite(curves)):
-        raise IntegrationError("non-finite forecast curve; check step and rates")
+    curves = np.array([daily_deaths(integrate("seir", p, horizon_days), kappa).values
+                       for p in (lower_p, central_p, upper_p)])
     # Repair any pointwise ordering violations across the three curves.
     lower_vals = curves.min(axis=0)
     upper_vals = curves.max(axis=0)

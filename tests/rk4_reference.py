@@ -2,9 +2,13 @@
 replaced, kept unchanged as references it must match bit for bit.
 
 ``_daily_new_removed`` is the cell-batched kernel the grid search used before
-``SeirBank``; ``integrate`` is the Python-loop single-trajectory integrator
-that ``simulate`` and the forecast bands used.  ``standard_start`` writes
-out the seeded start of ``epiwave.epidemic.integrate`` as a plain array.
+its early-stopping bank, ``epidemic.daily_removed``; it runs every cell the
+whole horizon, so it is also the reference for every full model curve:
+``integrate`` plus ``daily_deaths``, behind ``predict_wave`` and
+``synthetic_wave``.  ``integrate`` is the Python-loop single-trajectory
+integrator that ``simulate`` and the forecast bands used.
+``standard_start`` writes out the seeded start of
+``epiwave.epidemic.integrate`` as a plain array.
 """
 import numpy as np
 

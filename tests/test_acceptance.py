@@ -67,12 +67,12 @@ def test_criterion_1_final_size_reproduction():
     started = time.time()
     failures = []
     for r0, expected in HERD_IMMUNITY_PAIRS:
-        got = solve_final_size(r0).r_f
+        got = solve_final_size(r0)
         if abs(got - expected) > 0.005:
             failures.append(f"r0={r0}: {got:.4f} vs {expected}")
     rng = np.random.default_rng(2024)
     for r0 in rng.uniform(1.0 + 1e-9, 10.0, size=20):
-        got = solve_final_size(float(r0)).r_f
+        got = solve_final_size(float(r0))
         oracle = fixed_point_final_size(float(r0))
         if abs(got - oracle) > 1e-8:
             failures.append(f"oracle mismatch at r0={r0:.4f}")

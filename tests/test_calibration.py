@@ -241,16 +241,16 @@ class TestGridSearch:
 
 
 def spy_on_banks(monkeypatch) -> list:
-    """Record each ``SeirBank`` this process builds; forked workers record
-    in their own copy of the list."""
+    """Record the width of each bank this process integrates; forked workers
+    record in their own copy of the list."""
     built = []
+    bank = calibration.daily_removed
 
-    class SpyBank(calibration.SeirBank):
-        def __init__(self, beta, eta, epsilon):
-            built.append(len(beta))
-            super().__init__(beta, eta, epsilon)
+    def spy_bank(beta, *args, **kwargs):
+        built.append(np.size(beta))
+        return bank(beta, *args, **kwargs)
 
-    monkeypatch.setattr(calibration, "SeirBank", SpyBank)
+    monkeypatch.setattr(calibration, "daily_removed", spy_bank)
     return built
 
 

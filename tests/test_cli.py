@@ -429,6 +429,21 @@ def test_bad_table_row_writes_no_table(tmp_path, capsys):
     assert not (out / "herd_immunity.csv").exists()
 
 
+@pytest.mark.parametrize("table", ["wave,r0\na,2.5\nb,abc\n", None],
+                         ids=["bad row", "missing"])
+def test_bad_table_leaves_no_output_of_any_part(tmp_path, capsys, table):
+    src = tmp_path / "r0s.csv"
+    if table is not None:
+        src.write_text(table)
+    out = tmp_path / "out"
+    rc = main(["finalsize", "--r0", "2.5", "--curve", "1,7,3", "--table", str(src),
+               "--out", str(out)])
+    assert rc == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("epiwave: ")
+    assert not out.exists()
+
+
 TRIANGLE_FIT = ["fit", "--fixture", "triangle", "--beta-grid", "0.2,0.3,2",
                 "--eta-grid", "0.1,0.2,2", "--epsilon-grid", "3,3,1"]
 

@@ -12,11 +12,11 @@ from epiwave.epidemic import (
     _SCALAR_CELLS,
     DEFAULT_STEP,
     IntegrationError,
-    SeirBank,
     SeirParams,
     _cell_rk4,
     _rk4_stepper,
     daily_deaths,
+    daily_removed,
     integrate,
 )
 
@@ -178,14 +178,14 @@ class TestIntegrate:
 @given(rates=st.tuples(*[st.floats(0.01, 10.0)] * 3), per_day=st.integers(1, 20),
        n_days=st.integers(1, 60), seed=st.floats(0.0, 0.5))
 def test_trajectory_starts_where_a_bank_does(rates, per_day, n_days, seed):
-    """A SEIR trajectory's unit-scale daily deaths are its cell's row of a
-    bank, bit for bit: both start from the one seeded state."""
+    """A SEIR trajectory's unit-scale daily deaths are its cell's row of the
+    grid search's bank, bit for bit: both start from the one seeded state."""
     params, step = SeirParams(*rates), 1.0 / per_day
     try:
         traj = integrate("seir", params, n_days, step, seed)
     except IntegrationError:
         assume(False)
-    row = SeirBank(*rates).daily_removed(n_days, step=step, seed=seed)[0]
+    row = daily_removed(*rates, n_days, n_days, step=step, seed=seed)[0]
     assert daily_deaths(traj, 1.0).values.tobytes() == row.tobytes()
 
 
@@ -243,11 +243,11 @@ def test_rk4_step_dispatch_budget(monkeypatch):
     counting = CountingNumpy()
     monkeypatch.setattr("epiwave.epidemic.np", counting)
     n = _SCALAR_CELLS + 1
-    bank = SeirBank(np.linspace(0.2, 0.3, n), np.full(n, 0.1), np.full(n, 3.0))
+    bank = np.linspace(0.2, 0.3, n), np.full(n, 0.1), np.full(n, 3.0)
 
     def calls(n_days):
         counting.calls.clear()
-        bank.daily_removed(n_days, step=0.25)
+        daily_removed(*bank, n_days, n_days, step=0.25)
         return collections.Counter(counting.calls)
 
     hundred_days = calls(101) - calls(1)
@@ -305,8 +305,8 @@ def test_rk4_block_stays_contiguous_after_compaction(monkeypatch):
     """
     counting = CountingNumpy()
     monkeypatch.setattr("epiwave.epidemic.np", counting)
-    bank = SeirBank(np.linspace(0.15, 0.6, 40), np.full(40, 0.1), np.full(40, 3.0))
-    bank.daily_removed(240, step=0.25, after_peak=10)
+    daily_removed(np.linspace(0.15, 0.6, 40), np.full(40, 0.1), np.full(40, 3.0),
+                  240, 10, step=0.25)
     strided = {key: n for key, n in counting.calls.items() if "strided" in key[1]}
     assert counting.calls and not strided, (
         f"{sum(strided.values())} of {counting.calls.total()} calls strided")

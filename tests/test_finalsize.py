@@ -21,31 +21,31 @@ def fixed_point_final_size(r0, tol=1e-13, max_iter=100000):
 
 @pytest.mark.parametrize("r0,expected", HERD_IMMUNITY_PAIRS)
 def test_herd_immunity_table(r0, expected):
-    assert solve_final_size(r0).r_f == pytest.approx(expected, abs=0.005)
+    assert solve_final_size(r0) == pytest.approx(expected, abs=0.005)
 
 
 def test_below_threshold_no_epidemic():
-    assert solve_final_size(0.5).r_f == 0.0
-    assert solve_final_size(1.0).r_f == 0.0
-    assert solve_final_size(0.0).r_f == 0.0
+    assert solve_final_size(0.5) == 0.0
+    assert solve_final_size(1.0) == 0.0
+    assert solve_final_size(0.0) == 0.0
 
 
 def test_residual_bound():
     for r0 in np.linspace(0.0, 12.0, 61):
-        result = solve_final_size(float(r0))
-        assert abs(result.r_f + math.exp(-r0 * result.r_f) - 1.0) < 1e-10
+        r_f = solve_final_size(float(r0))
+        assert abs(r_f + math.exp(-r0 * r_f) - 1.0) < 1e-10
 
 
 def test_agrees_with_fixed_point_oracle():
     rng = np.random.default_rng(12345)
     for r0 in rng.uniform(1.0 + 1e-6, 10.0, size=20):
-        assert solve_final_size(float(r0)).r_f == pytest.approx(
+        assert solve_final_size(float(r0)) == pytest.approx(
             fixed_point_final_size(float(r0)), abs=1e-8
         )
 
 
 def test_monotone_in_r0():
-    values = [solve_final_size(r0).r_f for r0 in np.linspace(1.01, 8.0, 50)]
+    values = [solve_final_size(r0) for r0 in np.linspace(1.01, 8.0, 50)]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -53,17 +53,17 @@ def test_monotone_in_r0():
 @given(st.floats(0.0, 60.0), st.floats(0.0, 60.0))
 def test_r_f_is_monotone_in_r0(a, b):
     lo, hi = sorted((a, b))
-    assert solve_final_size(lo).r_f <= solve_final_size(hi).r_f
+    assert solve_final_size(lo) <= solve_final_size(hi)
 
 
 def test_limit_toward_one():
-    assert solve_final_size(50.0).r_f > 0.9999
+    assert solve_final_size(50.0) > 0.9999
 
 
 def test_saturation_above_five():
-    r5 = solve_final_size(5.0).r_f
-    r7 = solve_final_size(7.0).r_f
-    r3 = solve_final_size(3.0).r_f
+    r5 = solve_final_size(5.0)
+    r7 = solve_final_size(7.0)
+    r3 = solve_final_size(3.0)
     assert abs(r7 - r5) < 0.01
     assert r5 - r3 > 0.05
 
@@ -79,13 +79,13 @@ def test_invalid_r0():
 
 class TestCurve:
     def test_subcritical_range_all_zero(self):
-        assert all(r.r_f == 0.0 for r in final_size_curve(0.0, 1.0, 11))
+        assert all(r_f == 0.0 for _, r_f in final_size_curve(0.0, 1.0, 11))
 
     def test_monotone_curve(self):
         results = final_size_curve(1.0, 7.0, 121)
-        values = [r.r_f for r in results]
+        values = [r_f for _, r_f in results]
         assert all(a <= b for a, b in zip(values, values[1:]))
-        above = [r.r_f for r in results if r.r0 > 1.0 + 1e-9]
+        above = [r_f for r0, r_f in results if r0 > 1.0 + 1e-9]
         assert all(a < b for a, b in zip(above, above[1:]))
 
     def test_argument_validation(self):

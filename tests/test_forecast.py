@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rk4_reference
 from epiwave.calibration import FitCandidate
@@ -18,6 +19,11 @@ def candidate(beta, eta, epsilon=3.0, kappa=10000.0):
         r0=beta / eta,
         error_pct=1.0,
     )
+
+
+PRIORS = [candidate(0.20, 0.15, 2.5, 8000.0), candidate(0.26, 0.10, 3.5, 12000.0),
+          candidate(0.23, 0.12, 4.0, 5000.0)]
+LONGEST = 1000
 
 
 def test_single_prior_collapses_bands():
@@ -78,9 +84,7 @@ def test_identical_priors_identical_bands():
 
 
 def test_curves_equal_reference_runs():
-    priors = [candidate(0.20, 0.15, 2.5, 8000.0), candidate(0.26, 0.10, 3.5, 12000.0),
-              candidate(0.23, 0.12, 4.0, 5000.0)]
-    band = predict_wave(priors, START, 240)
+    band = predict_wave(PRIORS, START, 240)
     curves = {}
     for name in ("lower", "central", "upper"):
         a = band.assumptions[name]
@@ -92,6 +96,28 @@ def test_curves_equal_reference_runs():
     assert band.central.values.tobytes() == curves["central"].tobytes()
     assert band.lower.values.tobytes() == stacked.min(axis=0).tobytes()
     assert band.upper.values.tobytes() == stacked.max(axis=0).tobytes()
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """Daily deaths of the lower, central and upper bands over ``LONGEST``
+    days from the reference kernel; a shorter horizon's are a prefix."""
+    a = predict_wave(PRIORS, START, 14).assumptions
+    rates = [[a[name][key] for name in ("lower", "central", "upper")]
+             for key in ("beta", "eta", "epsilon")]
+    return a["central"]["kappa"] * rk4_reference._daily_new_removed(*rates, LONGEST)
+
+
+@settings(max_examples=8, deadline=None)
+@given(horizon=st.integers(14, LONGEST))
+@example(horizon=14)
+@example(horizon=LONGEST)
+def test_curves_equal_reference_kernel(reference, horizon):
+    band = predict_wave(PRIORS, START, horizon)
+    curves = reference[:, :horizon]
+    assert band.central.values.tobytes() == curves[1].tobytes()
+    assert band.lower.values.tobytes() == curves.min(axis=0).tobytes()
+    assert band.upper.values.tobytes() == curves.max(axis=0).tobytes()
 
 
 def test_blow_up_is_reported():

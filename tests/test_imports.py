@@ -1,4 +1,5 @@
-"""Every name a module of epiwave imports is used in that module.
+"""Every name a module of epiwave imports is used in that module, and no
+module imports or reads a private name of another epiwave module.
 
 ``__init__.py`` is left out: it imports names to re-export them.
 """
@@ -31,6 +32,48 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_uses(source: str) -> list[str]:
+    """Each ``_private`` name that ``source`` imports from an epiwave module or
+    reads as an attribute of one; dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names
+                           if a.name.split(".")[0] == "epiwave")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "epiwave"):
+            if node.module in (None, "epiwave"):  # from . import calibration
+                modules.update(a.asname or a.name for a in node.names)
+            found += [(node.lineno, a.name) for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_names(path):
+    assert private_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_private_name():
+    source = ("import numpy as np\nfrom . import calibration as cal\n"
+              "from .epidemic import _steps_per_day, integrate\n"
+              "import epiwave.series\nfrom epiwave import _x\n"
+              "cal._score(np._NoValue, cal.__doc__)\nepiwave.series._parse(1)\n")
+    assert private_uses(source) == ["line 3: _steps_per_day", "line 5: _x",
+                                    "line 6: cal._score",
+                                    "line 7: epiwave.series._parse"]
 
 
 def test_guard_sees_an_unused_name():

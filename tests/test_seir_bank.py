@@ -1,8 +1,10 @@
-"""``SeirBank`` and ``grid_search`` against the reference RK4 kernel.
+"""The grid search's bank, ``daily_removed``, and ``grid_search`` against the
+reference RK4 kernel.
 
-Without a window the bank's daily increments must equal the reference bit for
-bit.  With its exact early stop, every grid cell's error and kappa must equal
-the reference kernel's full-horizon curves scored by ``_score``.
+With a window as long as the horizon, the bank's daily increments must equal
+the reference bit for bit.  With its exact early stop, every grid cell's
+error and kappa must equal the reference kernel's full-horizon curves scored
+by ``_score``.
 """
 import datetime as dt
 from unittest import mock
@@ -13,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from epiwave import calibration, epidemic
 from epiwave.calibration import GridSpec, grid_search
-from epiwave.epidemic import SeirBank
+from epiwave.epidemic import daily_removed
 from epiwave.series import DailyCountSeries
 from rk4_reference import _daily_new_removed
 
@@ -70,7 +72,7 @@ def assert_report_matches(report, expected):
 def test_daily_increments_equal_reference(bank, step, n_days):
     beta, eta, epsilon = (np.array(a) for a in zip(*bank))
     expected = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
-    got = SeirBank(beta, eta, epsilon).daily_removed(n_days, step=step)
+    got = daily_removed(beta, eta, epsilon, n_days, n_days, step=step)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
 
@@ -107,7 +109,7 @@ def test_banks_around_the_chunk_size(offset):
     b, h, x = grid.beta_values, np.full(n, 0.2), np.full(n, 3.0)
     horizon, step = 90, 0.25
     dd = _daily_new_removed(b, h, x, horizon, step=step)
-    assert np.array_equal(SeirBank(b, h, x).daily_removed(horizon, step=step), dd)
+    assert np.array_equal(daily_removed(b, h, x, horizon, horizon, step=step), dd)
 
     wave = dd[3 * n // 4, 5:60] * 1e5
     observed = DailyCountSeries(start=dt.date(2020, 3, 1), values=wave)
@@ -130,7 +132,7 @@ def test_banks_around_the_float_width(offset, data, step, n_days):
     bank = data.draw(st.lists(cells(), min_size=n, max_size=n))
     beta, eta, epsilon = (np.array(a) for a in zip(*bank))
     expected = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
-    got = SeirBank(beta, eta, epsilon).daily_removed(n_days, step=step)
+    got = daily_removed(beta, eta, epsilon, n_days, n_days, step=step)
     assert np.array_equal(got, expected, equal_nan=True)
 
 
@@ -152,8 +154,7 @@ def test_bank_compacted_onto_the_float_path(early, late, step, after_peak):
     n_days = 200
     with mock.patch.object(epidemic, "_rk4_stepper",
                            wraps=epidemic._rk4_stepper) as stepper:
-        stopped = SeirBank(beta, eta, epsilon).daily_removed(
-            n_days, step=step, after_peak=after_peak)
+        stopped = daily_removed(beta, eta, epsilon, n_days, after_peak, step=step)
     widths = [call.args[0].shape[1] for call in stepper.call_args_list]
     assert widths[0] > epidemic._SCALAR_CELLS >= min(widths)
     full = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
@@ -166,9 +167,9 @@ def test_bank_compacted_onto_the_float_path(early, late, step, after_peak):
 
 def test_single_cell_bank_matches_its_row_in_a_bank():
     beta, eta, epsilon = [0.3, 0.23, 0.1], [0.1, 0.14, 0.2], [2.0, 3.0, 4.0]
-    together = SeirBank(beta, eta, epsilon).daily_removed(200, after_peak=40)
+    together = daily_removed(beta, eta, epsilon, 200, 40)
     for i in range(3):
-        alone = SeirBank(beta[i], eta[i], epsilon[i]).daily_removed(200, after_peak=40)
+        alone = daily_removed(beta[i], eta[i], epsilon[i], 200, 40)
         assert np.array_equal(alone[0], together[i])
 
 
@@ -185,9 +186,8 @@ def test_single_cell_bank_matches_its_row_in_a_bank():
          step=0.5, n_days=60, after_peak=1)
 def test_early_stop_keeps_argmax_and_window(bank, step, n_days, after_peak):
     beta, eta, epsilon = (np.array(a) for a in zip(*bank))
-    full = SeirBank(beta, eta, epsilon).daily_removed(n_days, step=step)
-    stopped = SeirBank(beta, eta, epsilon).daily_removed(
-        n_days, step=step, after_peak=after_peak)
+    full = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
+    stopped = daily_removed(beta, eta, epsilon, n_days, after_peak, step=step)
     for f, s in zip(full, stopped):
         peak = int(np.argmax(f))
         assert int(np.argmax(s)) == peak
@@ -197,22 +197,21 @@ def test_early_stop_keeps_argmax_and_window(bank, step, n_days, after_peak):
         assert np.all(s[differs] == 0.0)
 
 
-@pytest.mark.parametrize("after_peak", [None, 2])
-def test_empty_bank_has_no_rows(after_peak):
-    assert SeirBank([], [], []).daily_removed(5, after_peak=after_peak).shape == (0, 5)
+def test_empty_bank_has_no_rows():
+    assert daily_removed([], [], [], 5, 2).shape == (0, 5)
 
 
 def test_rejects_step_not_dividing_a_day():
     with pytest.raises(ValueError, match="divide"):
-        SeirBank(0.23, 0.14, 3.0).daily_removed(10, step=0.3)
+        daily_removed(0.23, 0.14, 3.0, 10, 10, step=0.3)
 
 
 @pytest.mark.parametrize("seed", [-1e-3, 0.6])
 def test_rejects_seed_outside_the_state_space(seed):
     with pytest.raises(ValueError, match="seed"):
-        SeirBank(0.23, 0.14, 3.0).daily_removed(10, seed=seed)
+        daily_removed(0.23, 0.14, 3.0, 10, 10, seed=seed)
 
 
 def test_rejects_mismatched_parameter_arrays():
     with pytest.raises(ValueError):
-        SeirBank([0.2, 0.3], [0.1], [3.0, 3.0])
+        daily_removed([0.2, 0.3], [0.1], [3.0, 3.0], 10, 10)
