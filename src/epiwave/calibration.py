@@ -59,22 +59,17 @@ class GridSpec:
             if steps > 1 and not lo < hi:
                 raise ValueError(f"{name} needs min < max when steps > 1")
 
-    @staticmethod
-    def _axis(rng) -> np.ndarray:
-        lo, hi, steps = rng
-        return np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
-
     @property
     def beta_values(self) -> np.ndarray:
-        return self._axis(self.beta_range)
+        return np.linspace(*self.beta_range)
 
     @property
     def eta_values(self) -> np.ndarray:
-        return self._axis(self.eta_range)
+        return np.linspace(*self.eta_range)
 
     @property
     def epsilon_values(self) -> np.ndarray:
-        return self._axis(self.epsilon_range)
+        return np.linspace(*self.epsilon_range)
 
     @property
     def n_cells(self) -> int:
@@ -126,8 +121,10 @@ def read_fit_report(path) -> list[FitCandidate]:
     candidates = []
     columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
     for line, beta, eta, epsilon, kappa, error in read_csv(path, columns):
-        if not all(map(math.isfinite, (beta, eta, epsilon, kappa))):
-            raise SeriesError(f"{path}:{line}: non-finite rate or kappa")
+        # A fit writes inf for a cell that blows up, but never NaN.
+        finite = all(map(math.isfinite, (beta, eta, epsilon, kappa)))
+        if not finite or math.isnan(error):
+            raise SeriesError(f"{path}:{line}: non-finite rate or kappa, or NaN error_pct")
         if not (beta > 0 and eta > 0 and epsilon > 0):
             raise SeriesError(f"{path}:{line}: rates must be > 0")
         if kappa < 0 or error < 0:
@@ -180,11 +177,11 @@ def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
     return error, kappa
 
 
-def _check_inputs(observed: DailyCountSeries, metric, step, seed, horizon_days):
+def _check_inputs(observed: DailyCountSeries, metric, step, horizon_days):
     """Observed values and horizon; ValueError for unusable input, before any work."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    check_run(step, seed)
+    check_run(step, DEFAULT_SEED)
     obs = np.asarray(observed.values, float)
     if obs.size < 14:
         raise ValueError("observed wave must span at least 14 days")
@@ -197,7 +194,7 @@ def _check_inputs(observed: DailyCountSeries, metric, step, seed, horizon_days):
     return obs, horizon_days
 
 
-def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
+def _bank_scores(beta, eta, epsilon, obs, horizon, step, metric):
     """(errors, kappas) of one bank of cells, scored ``_SCORE_ROWS`` at a time.
 
     A cell that blows up scores an infinite error, without a warning.
@@ -206,8 +203,7 @@ def _bank_scores(beta, eta, epsilon, obs, horizon, step, seed, metric):
         # A cell's days after its peak-aligned window are past its peak, and
         # they read 0, which leaves its argmax and its window unchanged.
         after_peak = obs.size - int(np.argmax(obs))
-        dd = daily_removed(beta, eta, epsilon, horizon, after_peak, step=step,
-                           seed=seed)
+        dd = daily_removed(beta, eta, epsilon, horizon, after_peak, step=step)
         errors, kappas = np.empty(len(dd)), np.empty(len(dd))
         for first in range(0, len(dd), _SCORE_ROWS):
             rows = slice(first, first + _SCORE_ROWS)
@@ -266,13 +262,11 @@ def fit_error(
     metric: str = "nrmse-peak",
     *,
     horizon_days: int | None = None,
-    step: float = DEFAULT_STEP,
-    seed: float = DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Error percentage and closed-form kappa for one parameter set."""
-    obs, horizon = _check_inputs(observed, metric, step, seed, horizon_days)
+    obs, horizon = _check_inputs(observed, metric, DEFAULT_STEP, horizon_days)
     error, kappa = _bank_scores(
-        params.beta, params.eta, params.epsilon, obs, horizon, step, seed, metric
+        params.beta, params.eta, params.epsilon, obs, horizon, DEFAULT_STEP, metric
     )
     return float(error[0]), float(kappa[0])
 
@@ -285,7 +279,6 @@ def grid_search(
     *,
     horizon_days: int | None = None,
     step: float = DEFAULT_STEP,
-    seed: float = DEFAULT_SEED,
 ) -> FitReport:
     """Exhaustive scan of the grid; deterministic collect-then-sort ranking.
 
@@ -295,7 +288,7 @@ def grid_search(
         grid = GridSpec()
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    obs, horizon = _check_inputs(observed, metric, step, seed, horizon_days)
+    obs, horizon = _check_inputs(observed, metric, step, horizon_days)
 
     bv, ev, xv = grid.beta_values, grid.eta_values, grid.epsilon_values
     B, H, X = (a.ravel() for a in np.meshgrid(bv, ev, xv, indexing="ij"))
@@ -305,7 +298,7 @@ def grid_search(
     # Cells of similar R0 stop at about the same day, so a bank empties evenly.
     by_r0 = np.argsort(B / H, kind="stable")
     banks = np.array_split(by_r0, -(-n // _CHUNK))
-    jobs = [(B[c], H[c], X[c], obs, horizon, step, seed, metric) for c in banks]
+    jobs = [(B[c], H[c], X[c], obs, horizon, step, metric) for c in banks]
     for cells, (bank_errors, bank_kappas) in zip(banks, _map_banks(jobs)):
         errors[cells], kappas[cells] = bank_errors, bank_kappas
     if not np.isfinite(errors).any():

@@ -1,9 +1,9 @@
 """Command-line pipeline: ingest -> smooth -> baseline -> excess -> segment
 -> fit -> forecast -> final size.
 
-Subcommands write plot-ready CSV/JSON artifacts into the output directory.
-Exit codes: 0 success, 2 input or config error, 3 inconsistent values,
-4 usage.
+Subcommands write plot-ready CSV/JSON artifacts into the output directory
+and return their summary line, which ``main`` prints.  Exit codes: 0 success,
+2 input, config or output error, 3 inconsistent values, 4 usage.
 """
 from __future__ import annotations
 
@@ -185,12 +185,9 @@ def _parse_axis(text: str) -> tuple[float, float, int]:
 
 
 def _out_dir(args) -> Path:
-    """Create the output directory; a path that cannot be one is exit 2."""
+    """The output directory, created if it is missing."""
     out = Path(args.out or ".")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SeriesError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -201,11 +198,6 @@ def _write_meta(args, out: Path, name: str, payload: dict) -> None:
     with open(out / name, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
 
 
 def _segments(args):
@@ -222,7 +214,7 @@ def _segments(args):
     return excess, waves.segment_waves(excess, config)
 
 
-def cmd_excess(args) -> int:
+def cmd_excess(args) -> str:
     reported = load_series(_resolve(args.reported))
     histories = [load_series(_resolve(p)) for p in args.history]
     weights = mortality.BaselineWeights(tuple(args.weights))
@@ -239,21 +231,19 @@ def cmd_excess(args) -> int:
     save_series(excess, out / "excess.csv")
     total = float(np.sum(excess.values))
     _write_meta(args, out, "excess_meta.json", {"total_excess": total})
-    _say(args, f"total_excess={total:.6g}")
-    return EXIT_OK
+    return f"total_excess={total:.6g}"
 
 
-def cmd_waves(args) -> int:
+def cmd_waves(args) -> str:
     _, segments = _segments(args)
     out = _out_dir(args)
     with open(out / "waves.json", "w", encoding="utf-8") as fh:
         json.dump([s.to_dict() for s in segments], fh, indent=2)
         fh.write("\n")
-    _say(args, f"waves={len(segments)}")
-    return EXIT_OK
+    return f"waves={len(segments)}"
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> str:
     excess, segments = _segments(args)
     index = args.wave_index
     if index < 0 or index >= len(segments):
@@ -277,16 +267,12 @@ def cmd_fit(args) -> int:
         {"metric": args.metric, "cells": grid.n_cells, "top_k": args.top_k},
     )
     best = report.candidates[0]
-    _say(
-        args,
-        f"best r0={best.r0:.3f} beta={best.params.beta:.6g} "
-        f"eta={best.params.eta:.6g} epsilon={best.params.epsilon:.6g} "
-        f"error_pct={best.error_pct:.6g}",
-    )
-    return EXIT_OK
+    return (f"best r0={best.r0:.3f} beta={best.params.beta:.6g} "
+            f"eta={best.params.eta:.6g} epsilon={best.params.epsilon:.6g} "
+            f"error_pct={best.error_pct:.6g}")
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> str:
     priors = []
     for path in args.prior_report:
         candidates = calibration.read_fit_report(_resolve(path))
@@ -298,15 +284,14 @@ def cmd_forecast(args) -> int:
                band.central.values.tolist(), band.upper.values.tolist())
     write_csv(out / "forecast.csv", ("date", "lower", "central", "upper"), rows)
     _write_meta(args, out, "assumptions.json", band.assumptions)
-    _say(args, f"central_r0={band.assumptions['central']['r0']:.3f}")
-    return EXIT_OK
+    return f"central_r0={band.assumptions['central']['r0']:.3f}"
 
 
-def cmd_finalsize(args) -> int:
+def cmd_finalsize(args) -> str | None:
     if args.r0 is None and args.curve is None and args.table is None:
         raise UsageError("finalsize needs --r0, --curve or --table")
-    # Every requested part is read and solved before anything is written or
-    # printed, so a bad table leaves no partial output behind.
+    # Every requested part is read and solved before anything is written, so
+    # a bad table leaves no partial output behind.
     table = None
     if args.table is not None:
         rows = read_csv(_resolve(args.table), {"wave": str, "r0": float})
@@ -321,12 +306,10 @@ def cmd_finalsize(args) -> int:
         write_csv(_out_dir(args) / "final_size_curve.csv", ("r0", "r_f"), curve)
     if table is not None:
         write_csv(_out_dir(args) / "herd_immunity.csv", ("wave", "r0", "r_f"), table)
-    if r_f is not None:
-        _say(args, f"{r_f:.3f}")
-    return EXIT_OK
+    return None if r_f is None else f"{r_f:.3f}"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     params = SeirParams(args.beta, args.eta, args.epsilon)
     traj = integrate(args.model, params, args.days, args.step, args.seed_fraction)
     deaths = None
@@ -336,8 +319,7 @@ def cmd_simulate(args) -> int:
     traj.to_csv(out / "trajectory.csv")
     if deaths is not None:
         save_series(deaths, out / "deaths.csv")
-    _say(args, f"samples={len(traj)}")
-    return EXIT_OK
+    return f"samples={len(traj)}"
 
 
 _SOURCE = (Setting("--input", None),
@@ -438,17 +420,21 @@ def _join_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one command; every error exits with the code of its category."""
+    """Run one command and print its summary line unless ``--quiet``; every
+    error exits with the code of its category, an unwritable output as 2."""
     try:
         args = build_parser().parse_args(
             _join_values(sys.argv[1:] if argv is None else argv))
         _apply_config(args, _load_config(args.config), COMMANDS[args.command][2])
-        return args.func(args)
+        summary = args.func(args)
+        if summary is not None and not args.quiet:
+            print(summary)
+        return EXIT_OK
     except UsageError as exc:
         error, code = exc, EXIT_USAGE
-    except SeriesError as exc:
+    except (SeriesError, OSError) as exc:
         error, code = exc, EXIT_PARSE
-    except (ValueError, IntegrationError, MemoryError) as exc:
+    except (ValueError, OverflowError, IntegrationError, MemoryError) as exc:
         error, code = exc, EXIT_INVARIANT
     print(f"epiwave: {str(error) or type(error).__name__}", file=sys.stderr)
     return code

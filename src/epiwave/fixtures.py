@@ -23,20 +23,14 @@ ISTANBUL_WAVES = (
 )
 
 
-def triangle_excess(
-    peak_value: float = 100.0,
-    half_width: int = 20,
-    start: dt.date = dt.date(2020, 3, 1),
-    pad_days: int = 10,
-) -> ExcessSeries:
-    """Symmetric tent 0 -> peak_value -> 0 padded with zero days on both sides."""
-    ramp = np.linspace(0.0, peak_value, half_width + 1)
+def triangle_excess() -> ExcessSeries:
+    """Symmetric tent 0 -> 100 -> 0 over the 41 days from 2020-03-01, padded
+    with 10 zero days on both sides."""
+    ramp = np.linspace(0.0, 100.0, 21)
     tent = np.concatenate([ramp, ramp[-2::-1]])
-    pad = np.zeros(pad_days)
-    return ExcessSeries(
-        start=start - dt.timedelta(days=pad_days),
-        values=np.concatenate([pad, tent, pad]),
-    )
+    pad = np.zeros(10)
+    return ExcessSeries(start=dt.date(2020, 2, 20),
+                        values=np.concatenate([pad, tent, pad]))
 
 
 def synthetic_istanbul() -> ExcessSeries:

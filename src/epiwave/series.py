@@ -35,6 +35,9 @@ class DailySeries:
             raise SeriesError("series contains non-finite values")
         if not self.allow_negative and np.any(self.values < 0):
             raise SeriesError("negative value in non-negative series")
+        if (dt.date.max - self.start).days < self.values.size - 1:
+            raise ValueError(f"a {self.values.size}-day series from {self.start} "
+                             f"would end after {dt.date.max}")
 
     def __len__(self):
         return self.values.size

@@ -197,7 +197,7 @@ def test_criterion_5_excess_mortality_identities():
 
 def test_criterion_6_wave_bookkeeping():
     failures = []
-    tri = triangle_excess(peak_value=100.0, half_width=20)
+    tri = triangle_excess()
     cfg = SegmentationConfig(
         start_threshold=5, end_threshold=5, min_persistence_days=3, min_wave_days=21
     )

@@ -573,6 +573,7 @@ def test_unreadable_input_exits_2_and_writes_nothing(
 @pytest.mark.parametrize("row", [
     "3.0,0.3,0.1,3.0,nan,1.0", "3.0,inf,0.1,3.0,1000.0,1.0",
     "3.0,0.3,nan,3.0,1000.0,1.0", "3.0,0.3,0.1,-inf,1000.0,1.0",
+    "3.0,0.3,0.1,3.0,1000.0,nan",
 ])
 def test_non_finite_fit_report_value_exits_2_naming_the_line(tmp_path, capsys, row):
     report = tmp_path / "report.csv"
@@ -655,3 +656,65 @@ def test_byte_order_mark_is_ignored(registry, tmp_path, capsys, slot):
         shutil.rmtree(out, ignore_errors=True)
     assert runs[0][0] == 0 and runs[0][2]
     assert runs[1] == runs[0]
+
+
+# The artifacts of each command, all written by ``argv_writing_all``.
+ARTIFACTS = {
+    "excess": ("excess.csv", "excess_meta.json"),
+    "waves": ("waves.json",),
+    "fit": ("fit_report.csv", "beta_scan.csv", "eta_scan.csv", "fit_meta.json"),
+    "forecast": ("forecast.csv", "assumptions.json"),
+    "finalsize": ("final_size_curve.csv", "herd_immunity.csv"),
+    "simulate": ("trajectory.csv", "deaths.csv"),
+}
+
+
+def argv_writing_all(command: str, registry, tmp_path) -> list[str]:
+    """A command line on which ``command`` writes each of its artifacts."""
+    report, table = tmp_path / "report.csv", tmp_path / "r0s.csv"
+    report.write_text(FIT_REPORT_HEADER + "2.0,0.2,0.1,3.0,1000.0,5.0\n")
+    table.write_text("wave,r0\nfirst,2.5\n")
+    return {
+        "excess": excess_args(registry),
+        "waves": ["waves", "--fixture", "triangle"],
+        "fit": TRIANGLE_FIT,
+        "forecast": ["forecast", "--prior-report", str(report), "--horizon", "30"],
+        "finalsize": ["finalsize", "--curve", "1,7,3", "--table", str(table)],
+        "simulate": ["simulate", "--days", "5", "--kappa", "1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(ARTIFACTS))
+def test_each_command_writes_its_artifacts(registry, tmp_path, command):
+    out = tmp_path / "out"
+    argv = argv_writing_all(command, registry, tmp_path)
+    assert main(argv + ["--out", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[command])
+
+
+@pytest.mark.parametrize("command, artifact",
+                         [(c, a) for c, names in ARTIFACTS.items() for a in names])
+def test_unwritable_artifact_exits_2_naming_it(registry, tmp_path, capsys,
+                                               command, artifact):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    argv = argv_writing_all(command, registry, tmp_path)
+    assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("epiwave: ") and err.count("\n") == 1
+    assert str(out / artifact) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ["--days", "30", "--start-date", "9999-12-20"]),
+    ("forecast", ["--start-date", "9999-12-01", "--horizon", "120"]),
+    ("simulate", ["--step", "5e-324", "--days", "10"]),
+], ids=["simulate past 9999", "forecast past 9999", "step too small to count"])
+def test_unrepresentable_run_exits_3_and_writes_nothing(registry, tmp_path, capsys,
+                                                        command, extra):
+    out = tmp_path / "out"
+    argv = argv_writing_all(command, registry, tmp_path) + extra
+    assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("epiwave: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,7 +1,8 @@
 """Every name a module of epiwave imports is used in that module, and no
 module imports or reads a private name of another epiwave module.
-
 ``__init__.py`` is left out: it imports names to re-export them.
+
+Only ``cli.main`` prints, and only ``cli.console_main`` exits the process.
 """
 import ast
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 import epiwave
 
-MODULES = sorted(p for p in Path(epiwave.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(epiwave.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,3 +81,39 @@ def test_guard_sees_an_unused_name():
     source = ("import os\nfrom dataclasses import dataclass, field\n"
               "@dataclass\nclass A: pass\n")
     assert unused_imports(source) == ["line 1: os", "line 2: field"]
+
+
+def callers(source: str, call: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or ``<module>``) of each call of
+    ``call``, a name such as ``print`` or ``sys.exit``."""
+    found = []
+
+    def visit(node, holder):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == call:
+                found.append((child.lineno, holder))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else holder)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# The one function of cli.py that may make each call.
+ONLY_CALLER = {"print": "main", "sys.exit": "console_main"}
+
+
+@pytest.mark.parametrize("call", list(ONLY_CALLER))
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_entry_points_print_or_exit(path, call):
+    allowed = ONLY_CALLER[call] if path.name == "cli.py" else None
+    assert [(line, holder) for line, holder in callers(
+        path.read_text(encoding="utf-8"), call) if holder != allowed] == []
+
+
+def test_guard_sees_a_print_and_an_exit():
+    source = ("import sys\ndef main():\n    print(1)\n"
+              "    def inner():\n        print(2)\nclass A:\n    def f(self):\n"
+              "        sys.exit(print(3))\nsys.exit(0)\n")
+    assert callers(source, "print") == [(3, "main"), (5, "inner"), (8, "f")]
+    assert callers(source, "sys.exit") == [(8, "f"), (9, "<module>")]

@@ -197,3 +197,11 @@ def test_count_series_rejects_negative_array():
     with pytest.raises(SeriesError):
         DailyCountSeries(start=dt.date(2020, 1, 1), values=np.array([1.0, -0.5]))
     ExcessSeries(start=dt.date(2020, 1, 1), values=np.array([1.0, -0.5]))
+
+
+def test_series_must_end_by_the_last_date():
+    last = DailyCountSeries(start=dt.date.max, values=[1.0])
+    assert last.end == dt.date.max
+    with pytest.raises(ValueError, match="after 9999-12-31") as caught:
+        ExcessSeries(start=dt.date(9999, 12, 20), values=np.zeros(13))
+    assert not isinstance(caught.value, SeriesError)  # exit 3, not exit 2

@@ -30,7 +30,7 @@ def test_empty_series_rejected():
 
 
 def test_symmetric_triangle_single_wave():
-    tri = triangle_excess(peak_value=100.0, half_width=20)
+    tri = triangle_excess()
     (seg,) = segment_waves(tri, TRI_CFG)
     assert seg.peak_date == dt.date(2020, 3, 1) + dt.timedelta(days=20)
     assert seg.rise_days == seg.fall_days
