@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epidemic import (DEFAULT_SEED, DEFAULT_STEP, IntegrationError, SeirParams,
-                       check_run, daily_removed)
+from .epidemic import (DEFAULT_STEP, IntegrationError, SeirParams, daily_removed,
+                       steps_per_day)
 from .series import DailyCountSeries, SeriesError, read_csv, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
@@ -181,7 +181,7 @@ def _check_inputs(observed: DailyCountSeries, metric, step, horizon_days):
     """Observed values and horizon; ValueError for unusable input, before any work."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    check_run(step, DEFAULT_SEED)
+    steps_per_day(step)
     obs = np.asarray(observed.values, float)
     if obs.size < 14:
         raise ValueError("observed wave must span at least 14 days")

@@ -294,12 +294,16 @@ def cmd_finalsize(args) -> str | None:
     # a bad table leaves no partial output behind.
     table = None
     if args.table is not None:
-        rows = read_csv(_resolve(args.table), {"wave": str, "r0": float})
-        for line, label, _ in rows:
+        path = _resolve(args.table)
+        table = []
+        for line, label, r0 in read_csv(path, {"wave": str, "r0": float}):
             if "\r" in label:  # csv.writer leaves a lone \r unquoted before 3.13
-                raise SeriesError(f"{args.table}:{line}: carriage return in "
+                raise SeriesError(f"{path}:{line}: carriage return in "
                                   f"wave label {label!r}")
-        table = [(label, r0, finalsize.solve_final_size(r0)) for _, label, r0 in rows]
+            try:
+                table.append((label, r0, finalsize.solve_final_size(r0)))
+            except ValueError as exc:
+                raise SeriesError(f"{path}:{line}: {exc}") from exc
     curve = None if args.curve is None else finalsize.final_size_curve(*args.curve)
     r_f = None if args.r0 is None else finalsize.solve_final_size(args.r0)
     if curve is not None:
@@ -314,7 +318,7 @@ def cmd_simulate(args) -> str:
     traj = integrate(args.model, params, args.days, args.step, args.seed_fraction)
     deaths = None
     if args.kappa is not None:
-        deaths = daily_deaths(traj, args.kappa, start_date=args.start_date)
+        deaths = DailyCountSeries(args.start_date, daily_deaths(traj, args.kappa))
     out = _out_dir(args)
     traj.to_csv(out / "trajectory.csv")
     if deaths is not None:

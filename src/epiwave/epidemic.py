@@ -16,17 +16,16 @@ scaled by a fitted constant kappa (deaths per unit removed fraction).
 """
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
-from .series import DailyCountSeries, write_csv
+from .series import write_csv
 
 DEFAULT_STEP = 0.05  # days
 DEFAULT_SEED = 1e-5  # initial infected/exposed fraction
-_EPOCH = dt.date(2020, 1, 1)  # nominal anchor when no calendar date applies
+MAX_STEPS_PER_DAY = 10_000  # a step of 1e-4 day; a 200-day run is 2e6 steps
 # Widest block stepped cell by cell in plain floats.  On a shared 2-core Xeon
 # VM a float step cost 1.3-1.5 us per cell and a numpy step 13-17 us on 1 to
 # 13 cells; the two met between 10 and 13 cells in three runs.
@@ -83,19 +82,30 @@ class Trajectory:
         write_csv(path, ("t", *self.labels), rows)
 
 
+def steps_per_day(step: float) -> int:
+    """RK4 steps per day: every run covers whole days, and whole days must
+    fall on steps.  ValueError unless ``step`` divides one day into 1 to
+    ``MAX_STEPS_PER_DAY`` steps."""
+    # Outside these bounds 1/step rounds to 0 or past the maximum, or is not finite.
+    per_day = round(1.0 / step) if 0.5 / MAX_STEPS_PER_DAY < step < 2.0 else 0
+    if not 1 <= per_day <= MAX_STEPS_PER_DAY or abs(per_day * step - 1.0) > 1e-9:
+        raise ValueError(f"step {step!r} must divide one day into 1 to "
+                         f"{MAX_STEPS_PER_DAY:,} steps")
+    return per_day
+
+
 def integrate(
     system: str,
     params: SeirParams,
-    t_end: float,
+    t_end: int,
     step: float = DEFAULT_STEP,
     seed: float = DEFAULT_SEED,
 ) -> Trajectory:
-    """Classical 4th-order fixed-step integration from t=0 to t_end, from the
-    standard start seeded with ``seed`` (see ``_seeded_start``)."""
-    if not 0 < step < np.inf:
-        raise ValueError("step must be finite and > 0")
-    if not t_end >= step:
-        raise ValueError("t_end must be >= step")
+    """Classical 4th-order fixed-step integration over ``t_end`` whole days,
+    from the standard start seeded with ``seed`` (see ``_seeded_start``)."""
+    if not isinstance(t_end, (int, np.integer)) or t_end < 1:
+        raise ValueError(f"t_end must be a whole number of days >= 1: {t_end!r}")
+    n_steps = t_end * steps_per_day(step)
     seir = system == "seir"
     if not seir and system != "sir":
         raise ValueError(f"unknown system {system!r}")
@@ -103,7 +113,6 @@ def integrate(
     rows = [0, 1, 2, 3] if seir else [0, 2, 3]
 
     start = _seeded_start(seed, seir)
-    n_steps = int(np.floor(t_end / step + 1e-9))
     cell = _cell_rk4(start, (-params.beta, params.epsilon, params.eta), step, seir)
     # Streamed into the array: a list of per-step tuples would hold ~1 MB.
     flat = chain(start, chain.from_iterable(islice(cell, n_steps)))
@@ -114,14 +123,6 @@ def integrate(
         raise IntegrationError("non-finite state encountered; check step and rates")
     times = np.arange(n_steps + 1) * step
     return Trajectory(times=times, states=states, labels=labels, step=step)
-
-
-def _steps_per_day(step: float) -> int:
-    """RK4 steps per day; whole days must fall on steps."""
-    per_day = round(1.0 / step) if step > 0 else 0
-    if per_day < 1 or abs(per_day * step - 1.0) > 1e-9:
-        raise ValueError("step must divide one day evenly")
-    return per_day
 
 
 def _cell_rk4(state, rates, step: float, seir: bool = True):
@@ -253,13 +254,6 @@ def _rk4_stepper(y, rates, step: float):
     return advance
 
 
-def check_run(step: float, seed: float) -> int:
-    """RK4 steps per day of a SEIR run from ``seed``; ValueError if unusable."""
-    per_day = _steps_per_day(step)
-    _seeded_start(seed)
-    return per_day
-
-
 def daily_removed(
     beta,
     eta,
@@ -286,12 +280,13 @@ def daily_removed(
     equal a classical RK4 run of the cell bit for bit unless a product
     underflows (see ``_rk4_stepper``).
     """
-    per_day = check_run(step, seed)
+    per_day = steps_per_day(step)
+    start = _seeded_start(seed)
     beta, eta, epsilon = (np.array(a, float, ndmin=1) for a in (beta, eta, epsilon))
     rates = np.stack([-beta, epsilon, eta])
     n = beta.size
     y = np.empty((4, n))
-    y.T[:] = _seeded_start(seed)
+    y.T[:] = start
     # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
     # every page.  Day-major, the days after the early stop stayed
     # unwritten, and peak memory hung on the kernel's huge-page choices.
@@ -336,24 +331,13 @@ def daily_removed(
     return daily
 
 
-def daily_deaths(
-    traj: Trajectory,
-    scale: float,
-    start_date: dt.date = _EPOCH,
-) -> DailyCountSeries:
+def daily_deaths(traj: Trajectory, scale: float) -> np.ndarray:
     """Daily deaths = scale * daily increment of the removed compartment.
 
     Day d covers the increment R(d+1) - R(d); values are clipped at zero
-    against round-off.  The trajectory's step must divide a day.
+    against round-off.
     """
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    per_day = _steps_per_day(traj.step)
-    t_end = traj.times[-1]
-    n_days = int(np.floor(t_end + 1e-9))
-    if n_days < 1:
-        raise ValueError("trajectory must cover at least one day")
-    removed = traj.compartment("R")
-    daily_r = removed[: n_days * per_day + 1 : per_day]
-    values = scale * np.maximum(np.diff(daily_r), 0.0)
-    return DailyCountSeries(start=start_date, values=values)
+    if not 0 <= scale < np.inf:
+        raise ValueError("scale must be finite and >= 0")
+    daily_r = traj.compartment("R")[:: steps_per_day(traj.step)]
+    return scale * np.maximum(np.diff(daily_r), 0.0)

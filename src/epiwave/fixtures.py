@@ -59,7 +59,7 @@ def synthetic_wave(
     """Model-generated daily-deaths wave, sliced where the curve exceeds
     ``threshold`` deaths/day around its peak.  Used as a known-truth
     calibration target.  Raises IntegrationError when the curve blows up."""
-    dd = daily_deaths(integrate("seir", params, horizon_days), kappa).values
+    dd = daily_deaths(integrate("seir", params, horizon_days), kappa)
     peak = int(np.argmax(dd))
     above = dd >= threshold
     lo = peak

@@ -50,7 +50,7 @@ def predict_wave(
     lower_p = SeirParams(min(betas), max(etas), epsilon)
     upper_p = SeirParams(max(betas), min(etas), epsilon)
 
-    curves = np.array([daily_deaths(integrate("seir", p, horizon_days), kappa).values
+    curves = np.array([daily_deaths(integrate("seir", p, horizon_days), kappa)
                        for p in (lower_p, central_p, upper_p)])
     # Repair any pointwise ordering violations across the three curves.
     lower_vals = curves.min(axis=0)

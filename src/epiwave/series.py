@@ -133,10 +133,11 @@ def _load(path, cls):
             raise SeriesError(
                 f"{path}:{lineno}: interior gap of {gap - 1} day(s) before {day}"
             )
-    if not cls.allow_negative:
-        for lineno, _, value in rows:
-            if value < 0:
-                raise SeriesError(f"{path}:{lineno}: negative value {value}")
+    for lineno, _, value in rows:
+        if not np.isfinite(value):
+            raise SeriesError(f"{path}:{lineno}: non-finite value {value}")
+        if value < 0 and not cls.allow_negative:
+            raise SeriesError(f"{path}:{lineno}: negative value {value}")
     return cls(start=rows[0][1], values=np.array([v for _, _, v in rows]))
 
 

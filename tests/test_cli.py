@@ -429,8 +429,10 @@ def test_bad_table_row_writes_no_table(tmp_path, capsys):
     assert not (out / "herd_immunity.csv").exists()
 
 
-@pytest.mark.parametrize("table", ["wave,r0\na,2.5\nb,abc\n", None],
-                         ids=["bad row", "missing"])
+@pytest.mark.parametrize("table", [
+    "wave,r0\na,2.5\nb,abc\n", None, "wave,r0\na,2.5\nb,nan\n",
+    "wave,r0\na,2.5\nb,inf\n", "wave,r0\na,2.5\nb,-2\n",
+], ids=["bad row", "missing", "r0 nan", "r0 inf", "r0 -2"])
 def test_bad_table_leaves_no_output_of_any_part(tmp_path, capsys, table):
     src = tmp_path / "r0s.csv"
     if table is not None:
@@ -441,6 +443,7 @@ def test_bad_table_leaves_no_output_of_any_part(tmp_path, capsys, table):
     assert rc == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("epiwave: ")
+    assert table is None or captured.err.startswith(f"epiwave: {src}:3: ")
     assert not out.exists()
 
 
@@ -705,16 +708,22 @@ def test_unwritable_artifact_exits_2_naming_it(registry, tmp_path, capsys,
     assert str(out / artifact) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("simulate", ["--days", "30", "--start-date", "9999-12-20"]),
-    ("forecast", ["--start-date", "9999-12-01", "--horizon", "120"]),
-    ("simulate", ["--step", "5e-324", "--days", "10"]),
-], ids=["simulate past 9999", "forecast past 9999", "step too small to count"])
+@pytest.mark.parametrize("command, extra, named", [
+    ("simulate", ["--days", "30", "--start-date", "9999-12-20"], ""),
+    ("forecast", ["--start-date", "9999-12-01", "--horizon", "120"], ""),
+    ("simulate", ["--step", "5e-324", "--days", "10"], "step"),
+    ("simulate", ["--step", "0.3", "--days", "10"], "step"),
+    (None, ["simulate", "--step", "0.3", "--days", "10"], "step"),
+    ("simulate", ["--step", "20", "--days", "10"], "step"),
+    ("simulate", ["--step", "1e-300", "--days", "10"], "step"),
+], ids=["simulate past 9999", "forecast past 9999", "step too small to count",
+        "step 0.3", "step 0.3 without kappa", "step 20", "step 1e-300"])
 def test_unrepresentable_run_exits_3_and_writes_nothing(registry, tmp_path, capsys,
-                                                        command, extra):
+                                                        command, extra, named):
     out = tmp_path / "out"
-    argv = argv_writing_all(command, registry, tmp_path) + extra
+    argv = (argv_writing_all(command, registry, tmp_path) if command else []) + extra
     assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.startswith("epiwave: ") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rk4_reference
+from epiwave.calibration import GridSpec, grid_search
 from epiwave.epidemic import (
     _SCALAR_CELLS,
     DEFAULT_STEP,
@@ -18,7 +19,9 @@ from epiwave.epidemic import (
     daily_deaths,
     daily_removed,
     integrate,
+    steps_per_day,
 )
+from epiwave.series import DailyCountSeries
 
 # Per-wave mean parameters used as a realistic regression point.
 WAVE1_PARAMS = SeirParams(beta=0.231419776, eta=0.073068182, epsilon=3.0)
@@ -47,11 +50,12 @@ TOP_SEED = {"sir": 1.0, "seir": 0.5}
 
 @st.composite
 def runs(draw, max_rate, steps):
-    """(system, params, t_end, step, seed) for ``integrate``."""
+    """(system, params, t_end, step, seed) for ``integrate``: whole days, at
+    most 300 steps unless one day takes more."""
     system = draw(st.sampled_from(("sir", "seir")))
     params = SeirParams(*draw(st.tuples(*[st.floats(0.01, max_rate)] * 3)))
     step = draw(st.sampled_from(steps))
-    t_end = draw(st.floats(step, 300 * step))
+    t_end = draw(st.integers(1, max(1, round(300 * step))))
     seed = draw(st.floats(0.0, TOP_SEED[system]))
     return system, params, t_end, step, seed
 
@@ -83,12 +87,12 @@ class TestIntegrate:
         assert np.abs(traj.states.sum(axis=1) - 1.0).max() < 1e-9
         assert traj.states.min() >= -1e-12
 
-    # Rates up to 10 at step 0.5 include runs that blow up in both.  Doubling
+    # Rates up to 10 at steps 0.5 and 1 include runs that blow up in both.  Doubling
     # is exact only in the normal range, so a run whose classical RK4 rounds
     # a product into the subnormal range, as from a seed near the smallest
     # normal float, may differ in the last bit; it is skipped.
     @settings(max_examples=100, deadline=None)
-    @given(runs(max_rate=10.0, steps=(0.002, 0.05, 0.07, 0.3, 0.5)))
+    @given(runs(max_rate=10.0, steps=(0.002, 0.05, 0.25, 0.5, 1.0)))
     def test_equals_reference_integrator(self, run):
         system, params, t_end, step, seed = run
         start = rk4_reference.standard_start(system, seed)
@@ -150,8 +154,8 @@ class TestIntegrate:
         # SEIR's exposed seed turns infectious at once, so SIR seeds both in I.
         sir = integrate("sir", params, 120, h, seed=2 * seed)
         seir = integrate("seir", params, 120, h, seed=seed)
-        a = daily_deaths(sir, 1.0).values
-        b = daily_deaths(seir, 1.0).values
+        a = daily_deaths(sir, 1.0)
+        b = daily_deaths(seir, 1.0)
         mask = a > a.max() * 1e-6
         assert np.max(np.abs(b[mask] - a[mask]) / a[mask]) < 0.01
 
@@ -174,6 +178,29 @@ class TestIntegrate:
             integrate("seir", WAVE1_PARAMS, 10, float("nan"))
 
 
+def test_every_run_takes_whole_days_at_a_step_that_divides_a_day():
+    """A trajectory, a bank and a grid search take a step only if it divides
+    one day into 1 to 10,000 steps, and reject any other with one message."""
+    wave = DailyCountSeries(dt.date(2020, 3, 1), np.arange(1.0, 15.0))
+    grid = GridSpec((0.3, 0.3, 1), (0.1, 0.1, 1), (3.0, 3.0, 1))
+    runs = {
+        "integrate": lambda step: integrate("seir", WAVE1_PARAMS, 2, step),
+        "daily_removed": lambda step: daily_removed(0.3, 0.1, 3.0, 2, 2, step=step),
+        "grid_search": lambda step: grid_search(wave, grid, horizon_days=14, step=step),
+    }
+    for step in (0.0, -0.05, float("nan"), float("inf"), 0.3, 20.0, 1e-300, 5e-324):
+        message = f"step {step!r} must divide one day into 1 to 10,000 steps"
+        for name, run in runs.items():
+            with pytest.raises(ValueError) as raised:
+                run(step)
+            assert str(raised.value) == message, name
+    for step in (1e-4, 0.25, 1.0):
+        for run in runs.values():
+            run(step)
+        traj = integrate("seir", WAVE1_PARAMS, 3, step)
+        assert len(traj) == 3 * steps_per_day(step) + 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(rates=st.tuples(*[st.floats(0.01, 10.0)] * 3), per_day=st.integers(1, 20),
        n_days=st.integers(1, 60), seed=st.floats(0.0, 0.5))
@@ -186,7 +213,7 @@ def test_trajectory_starts_where_a_bank_does(rates, per_day, n_days, seed):
     except IntegrationError:
         assume(False)
     row = daily_removed(*rates, n_days, n_days, step=step, seed=seed)[0]
-    assert daily_deaths(traj, 1.0).values.tobytes() == row.tobytes()
+    assert daily_deaths(traj, 1.0).tobytes() == row.tobytes()
 
 
 class CountingNumpy:
@@ -316,11 +343,11 @@ class TestDailyDeaths:
     def test_disease_free_all_zero(self):
         traj = integrate("seir", WAVE1_PARAMS, 30, seed=0.0)
         out = daily_deaths(traj, 1e6)
-        assert np.allclose(out.values, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_zero_scale_all_zero(self):
         traj = integrate("seir", WAVE1_PARAMS, 30)
-        assert np.allclose(daily_deaths(traj, 0.0).values, 0.0)
+        assert np.allclose(daily_deaths(traj, 0.0), 0.0)
 
     def test_telescoping_total(self):
         traj = integrate("seir", WAVE1_PARAMS, 150)
@@ -329,18 +356,11 @@ class TestDailyDeaths:
         R = traj.compartment("R")
         per_day = int(round(1 / traj.step))
         expected = scale * (R[150 * per_day] - R[0])
-        assert out.values.sum() == pytest.approx(expected, abs=1e-9 * scale)
-
-    def test_start_date_carried(self):
-        traj = integrate("seir", WAVE1_PARAMS, 5)
-        out = daily_deaths(traj, 1.0, start_date=dt.date(2021, 3, 11))
-        assert out.start == dt.date(2021, 3, 11)
-        assert len(out) == 5
+        assert out.sum() == pytest.approx(expected, abs=1e-9 * scale)
 
     def test_sub_day_trajectory_rejected(self):
-        traj = integrate("seir", WAVE1_PARAMS, 0.5, 0.05)
         with pytest.raises(ValueError):
-            daily_deaths(traj, 1.0)
+            integrate("seir", WAVE1_PARAMS, 0.5, 0.05)
 
 
 def test_params_validation():

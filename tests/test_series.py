@@ -61,6 +61,14 @@ def test_negative_value_is_error_with_line_number(tmp_path):
         load_series(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("load", [load_series, load_excess])
+def test_non_finite_value_is_error_with_line_number(tmp_path, load, value):
+    path = write(tmp_path, f"date,value\n2020-03-15,5\n2020-03-16,{value}\n")
+    with pytest.raises(SeriesError, match=r":3: non-finite value"):
+        load(path)
+
+
 def test_excess_loader_allows_negative(tmp_path):
     s = load_excess(write(tmp_path, "date,value\n2020-03-15,-3\n"))
     assert s.values[0] == -3
