@@ -1,15 +1,16 @@
 """Grid-search calibration of SEIR parameters to an observed daily-deaths wave.
 
-Every grid cell integrates the SEIR model from the standard seed, aligns the
-model daily-deaths curve to the data by matching peak days, profiles the
-observation scale kappa in closed form (model total deaths == observed total
-deaths), and scores the fit.  The default metric is RMSE normalized by the
+Every grid cell integrates the SEIR model from the standard seed; the bank,
+``epidemic.daily_removed``, returns its daily curve in the window that puts
+its peak day on the observed one.  Scoring profiles the observation scale
+kappa in closed form (model total deaths == observed total deaths) on that
+window and scores the fit.  The default metric is RMSE normalized by the
 observed peak, in percent; a cumulative-MAPE alternative is selectable.
 
-Cells are integrated in banks of similar R0, each only until its
-peak-aligned window is covered; results are collected and then sorted, so
-the ranking is independent of evaluation order.  Grids of more than one bank
-run their banks on one worker process per usable CPU where ``fork`` exists.
+Cells are integrated in banks of similar R0, each only until its window is
+covered; results are collected and then sorted, so the ranking is
+independent of evaluation order.  Grids of more than one bank run their
+banks on one worker process per usable CPU where ``fork`` exists.
 """
 from __future__ import annotations
 
@@ -141,27 +142,16 @@ def default_horizon(n_obs: int) -> int:
     return max(2 * n_obs, 240)
 
 
-def _score(model_dd: np.ndarray, observed: np.ndarray, metric: str):
-    """Peak-align each model curve to the data, profile kappa, score.
-
-    Returns (error_pct, kappa) arrays over cells.  Cells whose aligned
-    window captures no deaths get kappa 0 and infinite error.
-    """
-    n_obs = observed.size
-    horizon = model_dd.shape[1]
-    peak_model = np.argmax(model_dd, axis=1)  # earliest day on ties
-    peak_obs = int(np.argmax(observed))
-    idx = peak_model[:, None] + (np.arange(n_obs) - peak_obs)[None, :]
-    in_range = (idx >= 0) & (idx < horizon)
-    aligned = np.take_along_axis(model_dd, np.clip(idx, 0, horizon - 1), axis=1)
-    aligned[~in_range] = 0.0
-
-    model_total = aligned.sum(axis=1)
+def _score(windows: np.ndarray, observed: np.ndarray, metric: str):
+    """(error_pct, kappa) arrays over cells: kappa profiled on each cell's
+    peak-aligned window, then the window scored.  A window that captures no
+    deaths gets kappa 0 and infinite error."""
+    model_total = windows.sum(axis=1)
     obs_total = observed.sum()
     kappa = np.divide(
         obs_total, model_total, out=np.zeros_like(model_total), where=model_total > 0
     )
-    model = kappa[:, None] * aligned
+    model = kappa[:, None] * windows
     if metric == "nrmse-peak":
         rmse = np.sqrt(np.mean((model - observed[None, :]) ** 2, axis=1))
         error = 100.0 * rmse / observed.max()
@@ -200,14 +190,13 @@ def _bank_scores(beta, eta, epsilon, obs, horizon, step, metric):
     A cell that blows up scores an infinite error, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # A cell's days after its peak-aligned window are past its peak, and
-        # they read 0, which leaves its argmax and its window unchanged.
-        after_peak = obs.size - int(np.argmax(obs))
-        dd = daily_removed(beta, eta, epsilon, horizon, after_peak, step=step)
-        errors, kappas = np.empty(len(dd)), np.empty(len(dd))
-        for first in range(0, len(dd), _SCORE_ROWS):
+        before_peak = int(np.argmax(obs))
+        windows = daily_removed(beta, eta, epsilon, horizon, before_peak,
+                                obs.size - before_peak, step=step)
+        errors, kappas = np.empty(len(windows)), np.empty(len(windows))
+        for first in range(0, len(windows), _SCORE_ROWS):
             rows = slice(first, first + _SCORE_ROWS)
-            errors[rows], kappas[rows] = _score(dd[rows], obs, metric)
+            errors[rows], kappas[rows] = _score(windows[rows], obs, metric)
     return errors, kappas
 
 
@@ -286,8 +275,8 @@ def grid_search(
     """
     if grid is None:
         grid = GridSpec()
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    if not isinstance(top_k, (int, np.integer)) or top_k < 1:
+        raise ValueError(f"top_k must be an int >= 1: {top_k!r}")
     obs, horizon = _check_inputs(observed, metric, step, horizon_days)
 
     bv, ev, xv = grid.beta_values, grid.eta_values, grid.epsilon_values

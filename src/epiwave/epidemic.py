@@ -2,13 +2,13 @@
 
 ``integrate`` runs one trajectory, behind every full model curve;
 ``daily_removed`` runs many SEIR parameter sets side by side for the grid
-search, each only until its peak-aligned window is covered.  Both step the
-same (-S, E, I, R) state with the same IEEE operations: one cell at a time
-in plain floats (``_cell_rk4``) for a trajectory and a narrow bank, as one
-numpy block (``_rk4_stepper``) for a wide bank.  Every run starts
-from the standard seed (``_seeded_start``): a fraction ``seed`` exposed and
-``seed`` infectious for SEIR, ``seed`` infectious for SIR, the rest
-susceptible.
+search and returns each one's peak-aligned window, integrating it only until
+that window is covered.  Both step the same (-S, E, I, R) state with the
+same IEEE operations: one cell at a time in plain floats (``_cell_rk4``) for
+a trajectory and a narrow bank, as one numpy block (``_rk4_stepper``) for a
+wide bank.  Every run starts from the standard seed (``_seeded_start``): a
+fraction ``seed`` (``DEFAULT_SEED`` in a bank) exposed and ``seed``
+infectious for SEIR, ``seed`` infectious for SIR, the rest susceptible.
 
 Compartments are population fractions.  R0 = beta/eta.  The observation
 map renders daily deaths as the daily increment of the removed compartment
@@ -259,21 +259,23 @@ def daily_removed(
     eta,
     epsilon,
     n_days: int,
+    before_peak: int,
     after_peak: int,
     *,
     step: float = DEFAULT_STEP,
-    seed: float = DEFAULT_SEED,
 ) -> np.ndarray:
     """Daily increments of R of SEIR parameter sets integrated side by side
-    from the standard seed, shape (n, n_days): the grid search's bank.
+    from the standard seed, each around its peak: the grid search's bank.
 
-    Day d is R(d+1) - R(d), clipped at zero against round-off.  A cell stops
-    once its increments are past their maximum for good and the
-    ``after_peak`` days from its peak day on are integrated; its later days
-    read 0.  Stopped cells leave the bank in batches, and integration ends
-    when none is left.  The compacted state and rates are C-ordered copies,
-    so every later block step keeps its C-contiguous operands.  A cell too
-    fast for the step, step * (beta + eta + epsilon) > 2, never stops early.
+    Day d is R(d+1) - R(d), clipped at zero against round-off.  Row i holds
+    cell i's days [P - before_peak, P + after_peak), P its peak day as
+    ``np.argmax`` picks it among days 0 to ``n_days`` - 1: the first maximum,
+    or the first NaN.  Days before day 0 or from ``n_days`` on read 0.  A
+    cell stops once its increments are past their maximum for good and its
+    window is copied out of its ring of recent days.  Stopped cells leave the
+    bank in batches, as C-ordered copies, and integration ends when none is
+    left.  A cell too fast for the step, step * (beta + eta + epsilon) > 2,
+    never stops early.
 
     Each step does the same IEEE operations in the same order on every cell,
     so a cell's numbers do not depend on the bank it is integrated in.  They
@@ -281,41 +283,49 @@ def daily_removed(
     underflows (see ``_rk4_stepper``).
     """
     per_day = steps_per_day(step)
-    start = _seeded_start(seed)
+    if before_peak < 0 or after_peak < 1:
+        raise ValueError("a window needs before_peak >= 0 and after_peak >= 1")
     beta, eta, epsilon = (np.array(a, float, ndmin=1) for a in (beta, eta, epsilon))
     rates = np.stack([-beta, epsilon, eta])
-    n = beta.size
+    n, width = beta.size, before_peak + after_peak
     y = np.empty((4, n))
-    y.T[:] = start
-    # Cell-major: a row of up to 512 days fits in a page, so day 0 writes
-    # every page.  Day-major, the days after the early stop stayed
-    # unwritten, and peak memory hung on the kernel's huge-page choices.
-    daily = np.zeros((n, n_days))
+    y.T[:] = _seeded_start(DEFAULT_SEED)
+    # Row i is cell i, as ``cells`` keeps it; ring slot d % width holds day d.
+    ring, windows = np.zeros((n, width)), np.zeros((n, width))
     advance = _rk4_stepper(y, rates, step)
     r_prev = np.zeros(n)
     cells = np.arange(n)
     peak_value = np.full(n, -1.0)
-    peak_day = np.zeros(n, int)
+    last_day = np.zeros(n, int)  # the last day of the window of the peak so far
     stopped = np.zeros(n, bool)
     # step * (beta + eta + epsilon) bounds |step * lambda| over the
     # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
     # after the peak, so such a cell runs the whole horizon.
     stable = step * (beta + eta + epsilon) <= 2.0
-    for day in range(n_days):
-        # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0
-        # wherever I' = 0: once I' < 0 as well, I falls for good.
-        neg_beta, epsilon, eta = rates
-        falling = (stable & (neg_beta * y[0] < eta)
-                   & (epsilon * y[1] < eta * y[2]))
-        advance(per_day)
-        increment = np.maximum(y[3] - r_prev, 0.0)
-        r_prev[:] = y[3]
-        increment[stopped] = 0.0
-        daily[cells, day] = increment
-        rising = increment > peak_value
+    for day in range(n_days + after_peak - 1):
+        if day < n_days:
+            # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0
+            # wherever I' = 0: once I' < 0 as well, I falls for good.
+            neg_beta, epsilon, eta = rates
+            falling = (stable & (neg_beta * y[0] < eta)
+                       & (epsilon * y[1] < eta * y[2]))
+            advance(per_day)
+            increment = np.maximum(y[3] - r_prev, 0.0)
+            r_prev[:] = y[3]
+            increment[stopped] = 0.0
+        else:  # past the horizon, days read 0 until the last window is copied
+            falling, increment = True, np.zeros(cells.size)
+        ring[cells, day % width] = increment
+        # np.argmax's order: a NaN rises over a number, nothing over a NaN.
+        rising = ~(increment <= peak_value) & (peak_value == peak_value)
         peak_value[rising] = increment[rising]
-        peak_day[rising] = day
-        stopped |= falling & (peak_day + after_peak <= day + 1)
+        last_day[rising] = day + after_peak - 1
+        done = cells[last_day == day]
+        if done.size:  # ring slot k holds the window's first day
+            k = (day + 1) % width
+            windows[done, :width - k] = ring[done, k:]
+            windows[done, width - k:] = ring[done, :k]
+        stopped |= falling & (last_day <= day)
         if 8 * np.count_nonzero(stopped) >= stopped.size:
             keep = ~stopped
             if not keep.any():
@@ -325,10 +335,10 @@ def daily_removed(
             y = np.compress(keep, y, axis=1)
             rates = np.compress(keep, rates, axis=1)
             r_prev, cells = r_prev[keep], cells[keep]
-            peak_value, peak_day = peak_value[keep], peak_day[keep]
+            peak_value, last_day = peak_value[keep], last_day[keep]
             stopped, stable = stopped[keep], stable[keep]
             advance = _rk4_stepper(y, rates, step)
-    return daily
+    return windows
 
 
 def daily_deaths(traj: Trajectory, scale: float) -> np.ndarray:

@@ -8,7 +8,9 @@ whole horizon, so it is also the reference for every full model curve:
 ``synthetic_wave``.  ``integrate`` is the Python-loop single-trajectory
 integrator that ``simulate`` and the forecast bands used.
 ``standard_start`` writes out the seeded start of
-``epiwave.epidemic.integrate`` as a plain array.
+``epiwave.epidemic.integrate`` as a plain array.  ``peak_windows`` is the
+peak alignment the grid search's scoring did on those full curves before the
+bank returned each cell's window itself.
 """
 import numpy as np
 
@@ -71,6 +73,19 @@ def _daily_new_removed(
             R = R + (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         daily_r[day] = R
     return np.maximum(np.diff(daily_r, axis=0), 0.0).T
+
+
+def peak_windows(daily: np.ndarray, before_peak: int, after_peak: int) -> np.ndarray:
+    """Each row's days [P - before_peak, P + after_peak), where P is the
+    row's ``np.argmax``: its earliest maximum, or its first NaN.  Days
+    outside the row read 0."""
+    horizon = daily.shape[1]
+    peak = np.argmax(daily, axis=1)
+    idx = peak[:, None] + np.arange(-before_peak, after_peak)[None, :]
+    in_range = (idx >= 0) & (idx < horizon)
+    windows = np.take_along_axis(daily, np.clip(idx, 0, horizon - 1), axis=1)
+    windows[~in_range] = 0.0
+    return windows
 
 
 def standard_start(system: str, seed: float = DEFAULT_SEED) -> np.ndarray:

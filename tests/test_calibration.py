@@ -223,6 +223,7 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("setting", [
         {"metric": "bogus"}, {"step": 0.3},
+        {"top_k": 2.5}, {"top_k": float("nan")}, {"top_k": 0},
     ])
     def test_bad_setting_fails_before_any_bank(self, wave, monkeypatch, setting):
         banks = spy_on_banks(monkeypatch)
