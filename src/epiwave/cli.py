@@ -304,6 +304,8 @@ def cmd_finalsize(args) -> str | None:
                 table.append((label, r0, finalsize.solve_final_size(r0)))
             except ValueError as exc:
                 raise SeriesError(f"{path}:{line}: {exc}") from exc
+        if not table:
+            raise SeriesError(f"{path}: no data rows")
     curve = None if args.curve is None else finalsize.final_size_curve(*args.curve)
     r_f = None if args.r0 is None else finalsize.solve_final_size(args.r0)
     if curve is not None:

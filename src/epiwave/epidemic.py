@@ -4,11 +4,11 @@
 ``daily_removed`` runs many SEIR parameter sets side by side for the grid
 search and returns each one's peak-aligned window, integrating it only until
 that window is covered.  Both step the same (-S, E, I, R) state with the
-same IEEE operations: one cell at a time in plain floats (``_cell_rk4``) for
-a trajectory and a narrow bank, as one numpy block (``_rk4_stepper``) for a
-wide bank.  Every run starts from the standard seed (``_seeded_start``): a
-fraction ``seed`` (``DEFAULT_SEED`` in a bank) exposed and ``seed``
-infectious for SEIR, ``seed`` infectious for SIR, the rest susceptible.
+same IEEE operations: in plain floats (``_cell_rk4``) for a trajectory, as
+one numpy block (``_rk4_stepper``) for a bank.  Every run starts from the
+standard seed (``_seeded_start``): a fraction ``seed`` (``DEFAULT_SEED`` in a
+bank) exposed and ``seed`` infectious for SEIR, ``seed`` infectious for SIR,
+the rest susceptible.
 
 Compartments are population fractions.  R0 = beta/eta.  The observation
 map renders daily deaths as the daily increment of the removed compartment
@@ -26,10 +26,6 @@ from .series import write_csv
 DEFAULT_STEP = 0.05  # days
 DEFAULT_SEED = 1e-5  # initial infected/exposed fraction
 MAX_STEPS_PER_DAY = 10_000  # a step of 1e-4 day; a 200-day run is 2e6 steps
-# Widest block stepped cell by cell in plain floats.  On a shared 2-core Xeon
-# VM a float step cost 1.3-1.5 us per cell and a numpy step 13-17 us on 1 to
-# 13 cells; the two met between 10 and 13 cells in three runs.
-_SCALAR_CELLS = 10
 
 
 class IntegrationError(RuntimeError):
@@ -180,39 +176,21 @@ def _rk4_stepper(y, rates, step: float):
     epsilon = 0.25 and step 0.05 differs within 2 days from a seed of
     ``sys.float_info.min``, and agrees from a seed of 1e-306.
 
-    A block of at most ``_SCALAR_CELLS`` cells steps each cell in plain floats
-    with ``_cell_rk4``: a numpy step costs the dispatch of its calls, about
-    4.6 us on 11 cells and 6 us on 192, and a float step about 0.5 us per
-    cell (2-CPU AMD EPYC VM, 1 MiB L2 per core).  The block's columns are
-    read once per call and written back once.
-
-    On wider blocks, slope block rows are the derivative of y:
-    F = beta*S*I = -S', E', I', R'.  ``rates`` times the stage rows -S, E, I
-    puts beta*S, epsilon*E and eta*I in rows 1-3; then row 0 gets F, row 1
-    E' = F - epsilon*E and row 2 I' = epsilon*E - eta*I.  Each stage input is
-    built in ``stage`` itself, so a cell holds 21 doubles (y, total, slope,
-    stage, rates and doubled rates): 0.90 MiB on 5,600 cells, which fits a
-    1 MiB L2.  A step there costs about 7.7 ns per cell, and 8.2 ns on 7,035
-    cells (1.13 MiB).  A step is one flat loop of 27 calls on views bound
-    here, with no Python call of its own.  The calls take only C-contiguous
-    blocks and rows, 0-d constants and positional ``out``: numpy dispatches
-    those fastest.  So ``y`` and ``rates`` must be C-ordered, also after a
-    bank's compaction; on strided rows a step costs about twice as much.
+    Slope block rows are the derivative of y: F = beta*S*I = -S', E', I',
+    R'.  ``rates`` times the stage rows -S, E, I puts beta*S, epsilon*E and
+    eta*I in rows 1-3; then row 0 gets F, row 1 E' = F - epsilon*E and row 2
+    I' = epsilon*E - eta*I.  Each stage input is built in ``stage`` itself,
+    so a cell holds 21 doubles (y, total, slope, stage, rates and doubled
+    rates): 0.90 MiB on 5,600 cells, which fits a 1 MiB L2.  A step there
+    costs about 7.7 ns per cell, and 8.2 ns on 7,035 cells (1.13 MiB).  A
+    step is one flat loop of 27 calls on views bound here, with no Python
+    call of its own; on a narrow block its cost is the dispatch of those
+    calls.  The calls take only C-contiguous blocks and rows, 0-d constants
+    and positional ``out``: numpy dispatches those fastest.  So ``y`` and
+    ``rates`` must be C-ordered, also after a bank's compaction; on strided
+    rows a step costs about twice as much.
     """
     m = y.shape[1]
-    if m <= _SCALAR_CELLS:
-        cell_rates = rates.T.tolist()
-
-        def advance_cells(n_steps: int):
-            states = y.T.tolist()
-            for j, cell in enumerate(cell_rates):
-                # Runs the cell n steps and leaves its last state in states[j].
-                for states[j] in islice(_cell_rk4(states[j], cell, step), n_steps):
-                    pass
-            y.T[:] = np.reshape(states, (m, 4))
-
-        return advance_cells
-
     half, quarter, sixth = map(np.array, (0.5 * step, 0.25 * step, step / 6.0))
     double = 2.0 * rates
     total, slope, stage = np.empty((4, m)), np.empty((4, m)), np.empty((3, m))
@@ -272,19 +250,21 @@ def daily_removed(
     ``np.argmax`` picks it among days 0 to ``n_days`` - 1: the first maximum,
     or the first NaN.  Days before day 0 or from ``n_days`` on read 0.  A
     cell stops once its increments are past their maximum for good and its
-    window is copied out of its ring of recent days.  Stopped cells leave the
-    bank in batches, as C-ordered copies, and integration ends when none is
-    left.  A cell too fast for the step, step * (beta + eta + epsilon) > 2,
-    never stops early.
+    window is copied out of its ring of recent days; it leaves the bank that
+    day, and integration ends when no cell is left.  A cell too fast for the
+    step, step * (beta + eta + epsilon) > 2, never stops early.
 
     Each step does the same IEEE operations in the same order on every cell,
     so a cell's numbers do not depend on the bank it is integrated in.  They
     equal a classical RK4 run of the cell bit for bit unless a product
     underflows (see ``_rk4_stepper``).
     """
+    days = n_days, before_peak, after_peak
+    if not (all(isinstance(d, (int, np.integer)) for d in days)
+            and n_days >= 1 and before_peak >= 0 and after_peak >= 1):
+        raise ValueError("n_days, before_peak and after_peak must be ints >= 1, "
+                         f">= 0 and >= 1: {days!r}")
     per_day = steps_per_day(step)
-    if before_peak < 0 or after_peak < 1:
-        raise ValueError("a window needs before_peak >= 0 and after_peak >= 1")
     beta, eta, epsilon = (np.array(a, float, ndmin=1) for a in (beta, eta, epsilon))
     rates = np.stack([-beta, epsilon, eta])
     n, width = beta.size, before_peak + after_peak
@@ -297,7 +277,6 @@ def daily_removed(
     cells = np.arange(n)
     peak_value = np.full(n, -1.0)
     last_day = np.zeros(n, int)  # the last day of the window of the peak so far
-    stopped = np.zeros(n, bool)
     # step * (beta + eta + epsilon) bounds |step * lambda| over the
     # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
     # after the peak, so such a cell runs the whole horizon.
@@ -312,7 +291,6 @@ def daily_removed(
             advance(per_day)
             increment = np.maximum(y[3] - r_prev, 0.0)
             r_prev[:] = y[3]
-            increment[stopped] = 0.0
         else:  # past the horizon, days read 0 until the last window is copied
             falling, increment = True, np.zeros(cells.size)
         ring[cells, day % width] = increment
@@ -325,18 +303,17 @@ def daily_removed(
             k = (day + 1) % width
             windows[done, :width - k] = ring[done, k:]
             windows[done, width - k:] = ring[done, :k]
-        stopped |= falling & (last_day <= day)
-        if 8 * np.count_nonzero(stopped) >= stopped.size:
-            keep = ~stopped
-            if not keep.any():
-                break
+        keep = ~(falling & (last_day <= day))
+        if not keep.any():
+            break
+        if not keep.all():
             # y[:, keep] would come back Fortran-ordered, and every later
             # block step would then run on strided rows.
             y = np.compress(keep, y, axis=1)
             rates = np.compress(keep, rates, axis=1)
             r_prev, cells = r_prev[keep], cells[keep]
             peak_value, last_day = peak_value[keep], last_day[keep]
-            stopped, stable = stopped[keep], stable[keep]
+            stable = stable[keep]
             advance = _rk4_stepper(y, rates, step)
     return windows
 

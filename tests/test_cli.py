@@ -264,6 +264,15 @@ class TestFinalsize:
         assert rc == EXIT_PARSE
         assert capsys.readouterr().err.startswith("epiwave: ")
 
+    def test_table_without_rows_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "r0s.csv"
+        src.write_text("wave,r0\n")
+        out = tmp_path / "out"
+        rc = main(["finalsize", "--table", str(src), "--out", str(out), "--quiet"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == f"epiwave: {src}: no data rows\n"
+        assert not out.exists()
+
     def test_no_action_exits_4(self):
         assert main(["finalsize"]) == EXIT_USAGE
 

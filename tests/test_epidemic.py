@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 import rk4_reference
 from epiwave.calibration import GridSpec, grid_search
 from epiwave.epidemic import (
-    _SCALAR_CELLS,
     DEFAULT_STEP,
     IntegrationError,
     SeirParams,
@@ -266,24 +265,24 @@ def test_rk4_step_dispatch_budget(monkeypatch):
     """A block step makes at most 27 numpy calls, on C-contiguous arrays only.
 
     On small blocks a step's cost is numpy's per-call dispatch, which rises
-    with every call and with each strided or Python-float operand.  The bank
-    is one cell wider than the blocks stepped in plain floats.  The calls of
-    100 days of 4 steps are those of a 101-day run less those of a 1-day run.
+    with every call and with each strided or Python-float operand.  The banks
+    have 1 cell, as ``fit_error``'s, and 11 cells.  The calls of 100 days of
+    4 steps are those of a 101-day run less those of a 1-day run.
     """
     counting = CountingNumpy()
     monkeypatch.setattr("epiwave.epidemic.np", counting)
-    n = _SCALAR_CELLS + 1
-    bank = np.linspace(0.2, 0.3, n), np.full(n, 0.1), np.full(n, 3.0)
 
-    def calls(n_days):
+    def calls(bank, n_days):
         counting.calls.clear()
         daily_removed(*bank, n_days, n_days, n_days, step=0.25)
         return collections.Counter(counting.calls)
 
-    hundred_days = calls(101) - calls(1)
-    assert sum(hundred_days.values()) <= 27 * 4 * 100
-    for name, kinds in hundred_days:
-        assert "strided" not in kinds and "float" not in kinds, (name, kinds)
+    for n in (1, 11):
+        bank = np.linspace(0.2, 0.3, n), np.full(n, 0.1), np.full(n, 3.0)
+        hundred_days = calls(bank, 101) - calls(bank, 1)
+        assert sum(hundred_days.values()) <= 27 * 4 * 100, n
+        for name, kinds in hundred_days:
+            assert "strided" not in kinds and "float" not in kinds, (n, name, kinds)
 
 
 def test_rk4_block_step_allocates_nothing(monkeypatch):
@@ -292,10 +291,12 @@ def test_rk4_block_step_allocates_nothing(monkeypatch):
     Each stage input is built in the 3-row stage block, so the scratch is
     the 4-row total and slope blocks and that stage block; the step
     constants are 0-d.  A temporary or an extra buffer in the step would
-    push a block's working set out of cache.  Temporaries made by operators
-    do not pass through ``np``, so the second half watches numpy's
-    allocations, which it reports to ``tracemalloc``, on an unpatched
-    4,096-cell block: 100 steps must not allocate one row's 32 KiB.
+    push a block's working set out of cache.  The first half counts numpy's
+    calls on blocks of 1 cell, as ``fit_error``'s bank, and 11 cells.
+    Temporaries made by operators do not pass through ``np``, so the second
+    half watches numpy's allocations, which it reports to ``tracemalloc``, on
+    an unpatched 4,096-cell block: 100 steps must not allocate one row's
+    32 KiB.
     """
     def block(m):
         y = np.empty((4, m))
@@ -305,13 +306,15 @@ def test_rk4_block_step_allocates_nothing(monkeypatch):
 
     counting = CountingNumpy()
     monkeypatch.setattr("epiwave.epidemic.np", counting)
-    m = _SCALAR_CELLS + 1
-    advance = _rk4_stepper(*block(m), 0.25)
-    assert sorted(shape for _, shape in counting.made.elements() if shape) == [
-        (3, m), (4, m), (4, m)]
-    counting.made.clear()
-    advance(100)
-    assert counting.calls and not counting.made
+    for m in (1, 11):
+        counting.calls.clear()
+        counting.made.clear()
+        advance = _rk4_stepper(*block(m), 0.25)
+        assert sorted(shape for _, shape in counting.made.elements() if shape) == [
+            (3, m), (4, m), (4, m)]
+        counting.made.clear()
+        advance(100)
+        assert counting.calls and not counting.made, m
 
     monkeypatch.undo()
     advance = _rk4_stepper(*block(4096), 0.25)
@@ -330,8 +333,7 @@ def test_rk4_block_stays_contiguous_after_compaction(monkeypatch):
     """An early-stopped bank's compacted blocks keep C-contiguous operands.
 
     Boolean indexing of a block's columns returns a Fortran-ordered copy.
-    This bank compacts from 40 cells to 35, 30, ... and 12, each width
-    still wider than the blocks stepped in plain floats.
+    This bank compacts from 40 cells down to the last one.
     """
     counting = CountingNumpy()
     monkeypatch.setattr("epiwave.epidemic.np", counting)

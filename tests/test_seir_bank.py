@@ -153,8 +153,8 @@ def test_banks_around_the_chunk_size(offset):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), step=st.sampled_from(STEPS), n_days=st.integers(1, 120))
 def test_banks_around_the_float_width(offset, data, step, n_days):
-    # At most _SCALAR_CELLS cells step in plain floats, wider banks in numpy.
-    n = epidemic._SCALAR_CELLS + offset
+    # Banks of 9-11 cells, narrow enough that a step costs numpy's dispatch.
+    n = 10 + offset
     bank = data.draw(st.lists(cells(), min_size=n, max_size=n))
     beta, eta, epsilon = (np.array(a) for a in zip(*bank))
     expected = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
@@ -171,22 +171,54 @@ late_cells = st.tuples(st.floats(3.0, 6.0), st.floats(0.05, 0.1),
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(early_cells, min_size=2, max_size=3),
-       st.lists(late_cells, min_size=epidemic._SCALAR_CELLS - 1,
-                max_size=epidemic._SCALAR_CELLS),
+       st.lists(late_cells, min_size=9, max_size=10),
        st.sampled_from((0.05, 0.25)), st.integers(0, 30), st.integers(1, 30))
 def test_bank_compacted_onto_the_float_path(early, late, step, before_peak,
                                             after_peak):
+    # 11-13 cells, compacted to at most 10 once the early cells stop.
     bank = early + late
     beta, eta, epsilon = (np.array(a) for a in zip(*bank))
     n_days = 200
-    with mock.patch.object(epidemic, "_rk4_stepper",
-                           wraps=epidemic._rk4_stepper) as stepper:
-        got = daily_removed(beta, eta, epsilon, n_days, before_peak, after_peak,
-                            step=step)
-    widths = [call.args[0].shape[1] for call in stepper.call_args_list]
-    assert widths[0] > epidemic._SCALAR_CELLS >= min(widths)
+    got = daily_removed(beta, eta, epsilon, n_days, before_peak, after_peak,
+                        step=step)
     full = _daily_new_removed(beta, eta, epsilon, n_days, step=step)
     assert np.array_equal(got, peak_windows(full, before_peak, after_peak))
+
+
+def widths_stepped(bank, n_days, before_peak, after_peak, step):
+    """The width of the block a bank steps on each day it integrates."""
+    widths = []
+    stepper = epidemic._rk4_stepper
+
+    def recording(y, rates, step):
+        advance = stepper(y, rates, step)
+
+        def one_day(n_steps):
+            widths.append(y.shape[1])
+            advance(n_steps)
+
+        return one_day
+
+    beta, eta, epsilon = (np.array(a) for a in zip(*bank))
+    with mock.patch.object(epidemic, "_rk4_stepper", recording):
+        daily_removed(beta, eta, epsilon, n_days, before_peak, after_peak, step=step)
+    return widths
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(early_cells, min_size=2, max_size=3),
+       st.lists(late_cells, min_size=9, max_size=10),
+       st.integers(0, 30), st.integers(1, 30))
+def test_a_cell_leaves_the_bank_on_the_day_it_stops(early, late, before_peak,
+                                                    after_peak):
+    """A cell's stop day depends on the cell alone, so a bank of one cell
+    integrates it for as many days as any bank does.  After each day, the
+    next day's block holds exactly the cells still running."""
+    bank = early + late
+    window = 200, before_peak, after_peak
+    days = [len(widths_stepped([cell], *window, 0.25)) for cell in bank]
+    assert widths_stepped(bank, *window, 0.25) == [
+        sum(d > day for d in days) for day in range(max(days))]
 
 
 def test_single_cell_bank_matches_its_row_in_a_bank():
@@ -274,6 +306,15 @@ def test_rejects_step_not_dividing_a_day():
 def test_rejects_a_window_without_its_peak_day(before_peak, after_peak):
     with pytest.raises(ValueError, match="before_peak"):
         daily_removed(0.23, 0.14, 3.0, 10, before_peak, after_peak)
+
+
+@pytest.mark.parametrize("days", [
+    (0, 5, 5), (-5, 5, 5), (10.0, 5, 5), (10, 1.5, 5), (10, 5, 2.0),
+    (10, 5.0, 5.0), (10, "5", 5),
+], ids=repr)
+def test_rejects_unusable_day_counts(days):
+    with pytest.raises(ValueError, match="n_days, before_peak and after_peak"):
+        daily_removed(0.23, 0.14, 3.0, *days)
 
 
 def test_rejects_mismatched_parameter_arrays():
