@@ -14,7 +14,6 @@ banks on one worker process per usable CPU where ``fork`` exists.
 """
 from __future__ import annotations
 
-import math
 import os
 import sys
 from collections.abc import Sequence
@@ -53,8 +52,8 @@ class GridSpec:
             ("eta", self.eta_range),
             ("epsilon", self.epsilon_range),
         ):
-            if steps < 1:
-                raise ValueError(f"{name} steps must be >= 1")
+            if not isinstance(steps, (int, np.integer)) or steps < 1:
+                raise ValueError(f"{name} steps must be an int >= 1: {steps!r}")
             if not (0 < lo < np.inf and 0 < hi < np.inf):
                 raise ValueError(f"{name} bounds must be finite and > 0")
             if steps > 1 and not lo < hi:
@@ -85,10 +84,12 @@ class FitCandidate:
     error_pct: float
 
     def __post_init__(self):
-        if abs(self.r0 - self.params.beta / self.params.eta) > 1e-12:
+        if not abs(self.r0 - self.params.beta / self.params.eta) <= 1e-12:
             raise ValueError("r0 must equal beta/eta")
-        if self.kappa < 0 or self.error_pct < 0:
-            raise ValueError("kappa and error_pct must be >= 0")
+        # A fit writes inf for a cell that blows up, but never NaN.
+        if not (0 <= self.kappa < np.inf and self.error_pct >= 0):
+            raise ValueError(f"non-finite or negative kappa {self.kappa!r}, or NaN "
+                             f"or negative error_pct {self.error_pct!r}")
 
 
 @dataclass
@@ -118,20 +119,15 @@ class FitReport:
 
 def read_fit_report(path) -> list[FitCandidate]:
     """The candidates of a fit_report.csv, in file order; SeriesError, naming
-    ``path:line``, for a row that no fit could have written."""
+    ``path:line``, for a row that ``SeirParams`` or ``FitCandidate`` rejects."""
     candidates = []
     columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
     for line, beta, eta, epsilon, kappa, error in read_csv(path, columns):
-        # A fit writes inf for a cell that blows up, but never NaN.
-        finite = all(map(math.isfinite, (beta, eta, epsilon, kappa)))
-        if not finite or math.isnan(error):
-            raise SeriesError(f"{path}:{line}: non-finite rate or kappa, or NaN error_pct")
-        if not (beta > 0 and eta > 0 and epsilon > 0):
-            raise SeriesError(f"{path}:{line}: rates must be > 0")
-        if kappa < 0 or error < 0:
-            raise SeriesError(f"{path}:{line}: negative kappa or error_pct")
-        params = SeirParams(beta, eta, epsilon)
-        candidates.append(FitCandidate(params, kappa, beta / eta, error))
+        try:
+            params = SeirParams(beta, eta, epsilon)
+            candidates.append(FitCandidate(params, kappa, beta / eta, error))
+        except ValueError as exc:
+            raise SeriesError(f"{path}:{line}: {exc}") from exc
     if not candidates:
         raise SeriesError(f"{path}: empty fit report")
     return candidates
@@ -144,13 +140,11 @@ def default_horizon(n_obs: int) -> int:
 
 def _score(windows: np.ndarray, observed: np.ndarray, metric: str):
     """(error_pct, kappa) arrays over cells: kappa profiled on each cell's
-    peak-aligned window, then the window scored.  A window that captures no
-    deaths gets kappa 0 and infinite error."""
+    peak-aligned window, then the window scored.  A window without a finite
+    positive total (no deaths, or a blow-up) gets kappa 0 and infinite error."""
     model_total = windows.sum(axis=1)
-    obs_total = observed.sum()
-    kappa = np.divide(
-        obs_total, model_total, out=np.zeros_like(model_total), where=model_total > 0
-    )
+    ok = (model_total > 0) & np.isfinite(model_total)
+    kappa = np.divide(observed.sum(), model_total, out=np.zeros(len(windows)), where=ok)
     model = kappa[:, None] * windows
     if metric == "nrmse-peak":
         rmse = np.sqrt(np.mean((model - observed[None, :]) ** 2, axis=1))
@@ -163,7 +157,7 @@ def _score(windows: np.ndarray, observed: np.ndarray, metric: str):
         # Summed day by day, so a cell scores the same in a bank of any size;
         # a mean over axis 1 sums one row pairwise but a bank column-wise.
         error = 100.0 * (np.cumsum(rel, axis=1)[:, -1] / rel.shape[1])
-    error = np.where(model_total > 0, error, np.inf)
+    error = np.where(ok, error, np.inf)
     return error, kappa
 
 
@@ -313,8 +307,8 @@ def average_top_candidates(
 ) -> FitCandidate:
     """Arithmetic mean of the n best candidates, given best first; r0 is
     mean-beta/mean-eta."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an int >= 1: {n!r}")
     if len(candidates) < n:
         raise ValueError(f"{len(candidates)} candidates, need {n}")
     best = candidates[:n]

@@ -39,8 +39,8 @@ class SeirParams:
     epsilon: float  # exposed -> infectious rate, 1/day
 
     def __post_init__(self):
-        if not (self.beta > 0 and self.eta > 0 and self.epsilon > 0):
-            raise ValueError("all rates must be > 0")
+        if not all(0 < rate < np.inf for rate in (self.beta, self.eta, self.epsilon)):
+            raise ValueError(f"non-finite or non-positive rate in {self}")
 
 
 def _seeded_start(seed: float, seir: bool = True) -> list[float]:

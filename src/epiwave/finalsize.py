@@ -37,7 +37,7 @@ def final_size_curve(
     """(r0, r_f) pairs over an even r0 grid; r_f is monotone non-decreasing."""
     if not 0 <= r0_min < r0_max:
         raise ValueError("need 0 <= r0_min < r0_max")
-    if points < 2:
-        raise ValueError("need at least 2 points")
+    if not isinstance(points, (int, np.integer)) or points < 2:
+        raise ValueError(f"points must be an int >= 2: {points!r}")
     r0s = np.linspace(r0_min, r0_max, points).tolist()
     return [(r0, solve_final_size(r0)) for r0 in r0s]

@@ -88,7 +88,8 @@ def reading(path):
 def read_csv(path, columns) -> list[tuple]:
     """``(line, *values)`` of each non-blank data row of a CSV file, the twin
     of ``write_csv``: ``columns`` maps header names (case and outer space
-    ignored) to the parsers of their fields; ``line`` is the row's last line."""
+    ignored) to the parsers of their fields; ``line`` is the row's last line.
+    Rows are parsed as they are read, so an error names the first bad line."""
     with reading(path) as fh:
         reader = csv.reader(fh)
         names = [name.strip().lower() for name in next(reader, [])]
@@ -96,26 +97,23 @@ def read_csv(path, columns) -> list[tuple]:
         if len(index) < len(columns):
             raise SeriesError(f"{path}:1: header needs {','.join(columns)!r}, each once")
         width = max(index) + 1
-        lines, rows = [], []
+        fields = list(zip(index, columns.items()))
+        rows = []
         for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < width:
                 raise SeriesError(f"{path}:{reader.line_num}: expected {width} "
                                   f"fields, found {len(row)}")
-            lines.append(reader.line_num)
-            rows.append(row)
-    try:  # a column at a time; row by row only to name the first bad field
-        return list(zip(lines, *(list(map(parse, [row[i] for row in rows]))
-                                 for i, parse in zip(index, columns.values()))))
-    except ValueError:
-        for line, row in zip(lines, rows):
-            for i, (name, parse) in zip(index, columns.items()):
+            values = [reader.line_num]
+            for i, (name, parse) in fields:
                 try:
-                    parse(row[i])
+                    values.append(parse(row[i]))
                 except ValueError as exc:
-                    raise SeriesError(f"{path}:{line}: bad {name} {row[i]!r}") from exc
-        raise
+                    raise SeriesError(f"{path}:{reader.line_num}: bad {name} "
+                                      f"{row[i]!r}") from exc
+            rows.append(tuple(values))
+    return rows
 
 
 def _load(path, cls):

@@ -29,8 +29,9 @@ class SegmentationConfig:
             raise ValueError("thresholds must be finite and >= 0")
         if self.end_threshold > self.start_threshold:
             raise ValueError("end_threshold must not exceed start_threshold")
-        if not (self.min_persistence_days >= 1 and self.min_wave_days >= 1):
-            raise ValueError("persistence and wave-length minima must be >= 1")
+        minima = (self.min_persistence_days, self.min_wave_days)
+        if not all(isinstance(m, (int, np.integer)) and m >= 1 for m in minima):
+            raise ValueError("persistence and wave-length minima must be ints >= 1")
 
 
 @dataclass(frozen=True)

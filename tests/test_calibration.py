@@ -1,4 +1,5 @@
 import concurrent.futures
+import datetime as dt
 import os
 import signal
 import subprocess
@@ -64,6 +65,12 @@ class TestGridSpec:
     def test_non_finite_bounds_rejected(self, axis):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(epsilon_range=axis)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, np.float64(4.0)])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            GridSpec(beta_range=(0.15, 0.35, steps))
+        assert GridSpec(beta_range=(0.15, 0.35, np.int64(4))).n_cells == 4 * 150 * 7
 
 
 class TestFitError:
@@ -143,6 +150,24 @@ class TestGridSearch:
             with pytest.raises(IntegrationError, match="no grid cell"):
                 grid_search(wave, GridSpec(grid.beta_range, grid.eta_range,
                                            (1e5, 1e5, 1)))
+
+    def test_overflowed_window_scores_inf(self, tmp_path):
+        """A cell too fast for the step overflows to an inf day inside its
+        window; it scores as a blow-up, not NaN, and the other cell keeps its
+        score in the scan and in a report that reads back."""
+        short = DailyCountSeries(dt.date(2020, 1, 1),
+                                 [1, 2, 3, 4, 5, 9, 8, 7, 6, 5, 4, 3, 2, 1, 1])
+        fast = 62.241560390097526
+        assert fit_error(SeirParams(0.3, 0.1, fast), short, horizon_days=2) == (
+            np.inf, 0.0)
+        grid = GridSpec((0.3, 0.3, 1), (0.1, 0.1, 1), (3.0, fast, 2))
+        report = grid_search(short, grid, horizon_days=2)
+        slow = fit_error(SeirParams(0.3, 0.1, 3.0), short, horizon_days=2)[0]
+        assert np.isfinite(slow) and report.beta_scan == [(0.3, slow)]
+        assert [(c.error_pct, c.kappa) for c in report.candidates][1] == (np.inf, 0.0)
+        report.to_csv(tmp_path / "fit_report.csv")
+        assert [c.error_pct for c in read_fit_report(tmp_path / "fit_report.csv")] == [
+            slow, np.inf]
 
     def test_scans_are_surface_minima(self, wave):
         # Three betas and two etas, so that a swapped axis shows; the
@@ -396,6 +421,35 @@ class TestAverageTopCandidates:
         candidates = self._candidates([(0.23, 0.14, 3.0, 1e4, 0.5)])
         with pytest.raises(ValueError):
             average_top_candidates(candidates, 2)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(1.0)])
+    def test_non_integer_n_rejected(self, n):
+        candidates = self._candidates(
+            [(0.23, 0.14, 3.0, 1e4, 0.5), (0.24, 0.15, 3.0, 1e4, 0.9)]
+        )
+        with pytest.raises(ValueError, match="n must be an int"):
+            average_top_candidates(candidates, n)
+
+
+@pytest.mark.parametrize("kappa, error", [
+    (1e4, np.nan), (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (-1.0, 1.0),
+    (1e4, -0.5), (1e4, -np.inf),
+])
+def test_fit_candidate_rejects_what_no_fit_writes(kappa, error):
+    params = SeirParams(0.3, 0.1, 3.0)
+    with pytest.raises(ValueError, match="non-finite or negative kappa"):
+        FitCandidate(params, kappa, 3.0, error)
+
+
+@pytest.mark.parametrize("r0", [np.nan, np.inf, 3.1])
+def test_fit_candidate_r0_is_beta_over_eta(r0):
+    with pytest.raises(ValueError, match="r0 must equal beta/eta"):
+        FitCandidate(SeirParams(0.3, 0.1, 3.0), 1e4, r0, 1.0)
+
+
+def test_fit_candidate_accepts_a_blown_up_cell():
+    blown = FitCandidate(SeirParams(0.3, 0.1, 3.0), 0.0, 3.0, np.inf)
+    assert blown.error_pct == np.inf and blown.kappa == 0.0
 
 
 def test_report_csv_shape(tmp_path, wave):

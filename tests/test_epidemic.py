@@ -375,6 +375,15 @@ def test_params_validation():
         SeirParams(beta=0.2, eta=-0.1, epsilon=3.0)
 
 
+@pytest.mark.parametrize("rates", [
+    (np.inf, 0.1, 3.0), (0.2, np.nan, 3.0), (0.2, 0.1, np.inf), (0.2, 0.1, -np.inf),
+    (np.nan, np.nan, np.nan),
+])
+def test_params_reject_non_finite_rates(rates):
+    with pytest.raises(ValueError, match="non-finite or non-positive rate"):
+        SeirParams(*rates)
+
+
 def test_state_validation():
     """A seed that would put a compartment outside [0, 1] is rejected."""
     for system, top in TOP_SEED.items():

@@ -93,3 +93,8 @@ class TestCurve:
             final_size_curve(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             final_size_curve(1.0, 2.0, 1)
+
+    @pytest.mark.parametrize("points", [2.5, 7.0, np.float64(3.0)])
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(ValueError, match="points must be an int"):
+            final_size_curve(1.0, 7.0, points)

@@ -136,6 +136,15 @@ def test_read_csv_names_the_line(tmp_path, text, match):
         read_csv(write(tmp_path, text), {"date": dt.date.fromisoformat, "value": float})
 
 
+def test_read_csv_names_the_first_bad_line(tmp_path):
+    """With two defects, the first in file order is named, whatever its kind."""
+    path = write(tmp_path, "date,value\n2020-01-01,x\n2020-01-02\n")
+    with pytest.raises(SeriesError, match=r":2: bad value 'x'"):
+        read_csv(path, {"date": dt.date.fromisoformat, "value": float})
+    with pytest.raises(SeriesError, match=r":2: bad value 'x'"):
+        load_series(path)
+
+
 def test_round_trip(tmp_path):
     s = DailyCountSeries(
         start=dt.date(2020, 1, 1), values=np.array([1.5, 0.0, 2.25, 3.125])

@@ -168,3 +168,13 @@ def test_config_validation():
 def test_non_finite_settings_rejected(config):
     with pytest.raises(ValueError):
         SegmentationConfig(**config)
+
+
+@pytest.mark.parametrize("config", [
+    dict(min_persistence_days=2.5), dict(min_persistence_days=3.0),
+    dict(min_wave_days=20.5), dict(min_wave_days=np.float64(21.0)),
+])
+def test_non_integer_minima_rejected(config):
+    with pytest.raises(ValueError, match="must be ints"):
+        SegmentationConfig(**config)
+    assert SegmentationConfig(min_persistence_days=np.int64(2)).min_persistence_days == 2
