@@ -306,12 +306,15 @@ def average_top_candidates(
     candidates: Sequence[FitCandidate], n: int
 ) -> FitCandidate:
     """Arithmetic mean of the n best candidates, given best first; r0 is
-    mean-beta/mean-eta."""
+    mean-beta/mean-eta.  ValueError if one of them blew up (infinite error):
+    its kappa of 0 and its rates would enter the mean."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an int >= 1: {n!r}")
     if len(candidates) < n:
         raise ValueError(f"{len(candidates)} candidates, need {n}")
     best = candidates[:n]
+    if any(c.error_pct == np.inf for c in best):
+        raise ValueError(f"a blown-up candidate (infinite error) among the {n} best")
     beta = float(np.mean([c.params.beta for c in best]))
     eta = float(np.mean([c.params.eta for c in best]))
     epsilon = float(np.mean([c.params.epsilon for c in best]))

@@ -274,9 +274,12 @@ def cmd_fit(args) -> str:
 
 def cmd_forecast(args) -> str:
     priors = []
-    for path in args.prior_report:
-        candidates = calibration.read_fit_report(_resolve(path))
-        n = min(args.top_n, len(candidates))
+    for path in map(_resolve, args.prior_report):
+        candidates = calibration.read_fit_report(path)
+        # A report ranks blown-up cells (infinite error) last; none is averaged.
+        n = min(args.top_n, sum(c.error_pct < math.inf for c in candidates))
+        if n == 0:
+            raise SeriesError(f"{path}: no row with a finite error_pct")
         priors.append(calibration.average_top_candidates(candidates, n))
     band = forecast.predict_wave(priors, args.start_date, args.horizon)
     out = _out_dir(args)
@@ -340,6 +343,12 @@ _SEGMENTATION = (
     Setting("--min-wave-days", "min_wave_days", int, COUNT, _SEG.min_wave_days),
 )
 _FIT_DEFAULTS = inspect.signature(calibration.grid_search).parameters
+# Text after a command's flags in its --help.
+_EPILOGS = {"fit": (
+    f"Every cell is integrated at the RK4 step of {DEFAULT_STEP:g} day and stops "
+    "once its peak-aligned window is covered; a cell too fast for that step, "
+    f"step*(beta+eta+epsilon) > 2 (beta+eta+epsilon > {2 / DEFAULT_STEP:g}), "
+    "never stops early and runs the whole horizon.")}
 _DATE = dt.date.fromisoformat
 
 # name: (help, function, settings); the library supplies every default it has.
@@ -397,7 +406,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="epiwave", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, settings) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p = sub.add_parser(name, help=help_text, epilog=_EPILOGS.get(name),
+                           allow_abbrev=False)
         for s in settings:
             p.add_argument(
                 s.flag, dest=s.dest, type=s.flag_type, required=s.required,

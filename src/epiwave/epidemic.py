@@ -23,7 +23,7 @@ import numpy as np
 
 from .series import write_csv
 
-DEFAULT_STEP = 0.05  # days
+DEFAULT_STEP = 0.1  # days
 DEFAULT_SEED = 1e-5  # initial infected/exposed fraction
 MAX_STEPS_PER_DAY = 10_000  # a step of 1e-4 day; a 200-day run is 2e6 steps
 

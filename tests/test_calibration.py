@@ -22,9 +22,11 @@ from epiwave.calibration import (
     grid_search,
     read_fit_report,
 )
-from epiwave.epidemic import IntegrationError, SeirParams
-from epiwave.fixtures import synthetic_wave
+from epiwave.epidemic import (DEFAULT_STEP, IntegrationError, SeirParams, daily_deaths,
+                              integrate)
+from epiwave.fixtures import synthetic_istanbul, synthetic_wave
 from epiwave.series import DailyCountSeries
+from epiwave.waves import segment_waves
 
 TRUTH = SeirParams(beta=0.23, eta=0.14, epsilon=3.0)
 KAPPA = 10000.0
@@ -266,6 +268,37 @@ class TestGridSearch:
         assert banks == []
 
 
+def ranking_waves() -> list[DailyCountSeries]:
+    """The four synthetic-istanbul waves, and a SEIR wave integrated at half
+    the default step, so that no fit step reproduces it, cut to the 80 days
+    around its peak."""
+    excess = synthetic_istanbul()
+    observed = []
+    for seg in segment_waves(excess):
+        piece = excess.window(seg.start_date, seg.end_date)
+        observed.append(DailyCountSeries(piece.start, np.maximum(piece.values, 0.0)))
+    deaths = daily_deaths(integrate("seir", TRUTH, 240, DEFAULT_STEP / 2), KAPPA)
+    peak = int(np.argmax(deaths))
+    observed.append(DailyCountSeries(dt.date(2020, 3, 1), deaths[peak - 40:peak + 40]))
+    return observed
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("index", range(5))
+def test_half_the_step_keeps_the_ranking(index, metric):
+    """The default step ranks the criterion-7 grid as half of it does: the
+    same top 10 in order, the same blown-up cells, and every other cell's
+    error within 1e-4 points (at most 4e-7 here)."""
+    observed = ranking_waves()[index]
+    grid = GridSpec((0.2, 0.3, 8), (0.05, 0.18, 8), (2.0, 4.0, 3))
+    coarse = grid_search(observed, grid, metric)
+    fine = grid_search(observed, grid, metric, step=DEFAULT_STEP / 2)
+    assert [c.params for c in coarse.candidates] == [c.params for c in fine.candidates]
+    finite = np.isfinite(coarse.surface)
+    assert np.array_equal(finite, np.isfinite(fine.surface))
+    assert np.abs(coarse.surface - fine.surface)[finite].max() <= 1e-4
+
+
 def spy_on_banks(monkeypatch) -> list:
     """Record the width of each bank this process integrates; forked workers
     record in their own copy of the list."""
@@ -421,6 +454,14 @@ class TestAverageTopCandidates:
         candidates = self._candidates([(0.23, 0.14, 3.0, 1e4, 0.5)])
         with pytest.raises(ValueError):
             average_top_candidates(candidates, 2)
+
+    def test_blown_up_candidate_rejected(self, wave):
+        # The four cells at epsilon 1e5 blow up (error inf, kappa 0) and rank last.
+        grid = GridSpec((0.22, 0.24, 2), (0.13, 0.15, 2), (3.0, 1e5, 2))
+        candidates = grid_search(wave, grid, top_k=8).candidates
+        assert average_top_candidates(candidates, 4).params.epsilon == 3.0
+        with pytest.raises(ValueError, match="blown-up candidate"):
+            average_top_candidates(candidates, 5)
 
     @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(1.0)])
     def test_non_integer_n_rejected(self, n):

@@ -208,6 +208,32 @@ class TestForecast:
         err = capsys.readouterr().err
         assert err.startswith("epiwave: ") and err.count("\n") == 1
 
+    def test_blown_up_rows_are_left_out_of_the_mean(self, tmp_path):
+        """--top-n stops at the last finite-error row: the forecast equals one
+        from the report without its blown-up (inf) row."""
+        finite = FIT_REPORT_HEADER + ("2.0,0.2,0.1,3.0,1000.0,5.0\n"
+                                      "2.5,0.25,0.1,3.0,1000.0,6.0\n")
+        for name, text in (("finite", finite),
+                           ("blown", finite + "3.0,0.3,0.1,100000.0,0.0,inf\n")):
+            (tmp_path / f"{name}.csv").write_text(text)
+            assert main(["forecast", "--prior-report", str(tmp_path / f"{name}.csv"),
+                         "--horizon", "30", "--out", str(tmp_path / name),
+                         "--no-timestamp", "--quiet"]) == 0
+        for artifact in ("forecast.csv", "assumptions.json"):
+            assert ((tmp_path / "finite" / artifact).read_bytes()
+                    == (tmp_path / "blown" / artifact).read_bytes())
+
+    def test_report_without_a_finite_row_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "blown.csv"
+        report.write_text(FIT_REPORT_HEADER + "3.0,0.3,0.1,100000.0,0.0,inf\n")
+        out = tmp_path / "fc"
+        rc = main(["forecast", "--prior-report", str(report), "--out", str(out),
+                   "--quiet"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"epiwave: {report}: no row with a finite error_pct\n")
+        assert not out.exists()
+
     def test_missing_prior_report_exits_2(self, tmp_path, capsys):
         rc = main(["forecast", "--prior-report", str(tmp_path / "missing.csv"),
                    "--out", str(tmp_path), "--quiet"])

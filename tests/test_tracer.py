@@ -11,6 +11,7 @@ import numpy as np
 from epiwave import DailyCountSeries, GridSpec, SeirParams, calibration, epidemic
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PER_DAY = epidemic.steps_per_day(epidemic.DEFAULT_STEP)  # a fit's steps a day
 
 
 def traced_counts(*runs) -> dict:
@@ -37,7 +38,7 @@ def test_tracer_counts_steps_and_cells():
         lambda: calibration.grid_search(wave, grid, horizon_days=30))
     assert counts["epidemic.rk4_steps"] == 10 * 4
     assert counts["calibration.cells"] == 192
-    assert counts["calibration.cell_steps"] == 192 * 30 * 20
+    assert counts["calibration.cell_steps"] == 192 * 30 * PER_DAY
 
 
 def test_tracer_counts_the_default_horizon():
@@ -46,4 +47,4 @@ def test_tracer_counts_the_default_horizon():
     grid = GridSpec((0.2, 0.3, 2), (0.1, 0.15, 2), (2.0, 4.0, 3))
     counts = traced_counts(lambda: calibration.grid_search(wave, grid, horizon_days=None))
     assert calibration.default_horizon(14) == 240
-    assert counts["calibration.cell_steps"] == 12 * 240 * 20
+    assert counts["calibration.cell_steps"] == 12 * 240 * PER_DAY
