@@ -9,7 +9,9 @@ observed peak, in percent; a cumulative-MAPE alternative is selectable.
 
 Cells are integrated in banks of similar R0, each only until its window is
 covered; results are collected and then sorted, so the ranking is
-independent of evaluation order.  Grids of more than one bank run their
+independent of evaluation order.  A wide bank runs first in float32 and
+then re-runs in float64 the cells that can reach the report or a scan, so
+both keep their float64 bytes.  Grids of more than one bank run their
 banks on one worker process per usable CPU where ``fork`` exists.
 """
 from __future__ import annotations
@@ -27,13 +29,27 @@ from .series import DailyCountSeries, SeriesError, read_csv, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
 
-# Cells per bank, measured, not derived from a cache size: at 21 doubles per
-# cell an 8,192-cell bank holds 1.31 MiB, more than a 1 MiB per-core L2.
-# 8,192 beat 2,048, 4,096 and 14,070 cells when the bank came in.  With the
-# 21-double step, banks of at most 6,000 cells (bank count rounded up to a
-# multiple of the workers) were not clearly faster on fit-oracle: median
-# 63.5k -> 66.3k cells/s over 10 alternating pairs, within the spread.
+# Cells per bank, measured, not derived from a cache size: at 21 numbers per
+# cell an 8,192-cell bank holds 1.31 MiB in float64, more than a 1 MiB
+# per-core L2, and 0.66 MiB in float32.  8,192 beat 2,048, 4,096 and 14,070
+# cells when the bank came in.  With the 21-number step, banks of at most
+# 6,000 cells (bank count rounded up to a multiple of the workers) were not
+# clearly faster on fit-oracle: median 63.5k -> 66.3k cells/s over 10
+# alternating pairs, within the spread.
 _CHUNK = 8192
+# Banks at least this wide are screened in float32 and their contenders
+# confirmed in float64 (see ``_bank_scores``).  Measured, like ``_CHUNK``, on
+# whole fits of one bank in one pinned process: screening cost 4-6 % at
+# 1,024-1,600 cells and gained 1.11-1.18x at 2,304-4,096 and 1.41x at
+# 6,400.  A narrow float64 confirmation bank costs numpy's dispatch, about
+# what a 512-cell bank costs, whatever its width.
+_SCREEN_CELLS = 2048
+# A screened cell is re-run in float64 when another day comes within _TIE
+# relative of its peak day, as float32 may order such days differently.
+# Away from such ties a screened error stayed within 2.2e-3 points of its
+# float64 value below 50 points and 1.5e-4 relative above; half a
+# ``_margin`` is at least 4.5 times the first and 3.3 times the second.
+_TIE = 2e-5
 _SCORE_ROWS = 512  # cells per _score call: keeps its temporaries small
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
@@ -95,7 +111,14 @@ class FitCandidate:
 @dataclass
 class FitReport:
     """Ranked candidates plus the error of every cell, shape (nbeta, neta,
-    nepsilon); each scan pairs an axis value with its least error."""
+    nepsilon); each scan pairs an axis value with its least error.
+
+    Every candidate's error and each scan minimum are exact float64 values.
+    In a bank that was screened in float32 (see ``_bank_scores``), the other
+    ``surface`` entries may be screened values: float32 runs scored in
+    float64, within half a ``_margin`` of their float64 errors on every
+    input measured.  Each ranks strictly behind every candidate and behind
+    its slices' minima."""
 
     candidates: list[FitCandidate]
     grid: GridSpec
@@ -178,19 +201,87 @@ def _check_inputs(observed: DailyCountSeries, metric, step, horizon_days):
     return obs, horizon_days
 
 
-def _bank_scores(beta, eta, epsilon, obs, horizon, step, metric):
-    """(errors, kappas) of one bank of cells, scored ``_SCORE_ROWS`` at a time.
+def _bank_scores(beta, eta, epsilon, obs, horizon, step, metric, top_k):
+    """(errors, kappas) of one bank of cells, exact in float64 where they count.
+
+    A bank of at least ``_SCREEN_CELLS`` cells, and more than ``top_k``, is
+    screened (``_screen``) and then re-runs in float64 its flagged cells and
+    its ``_contenders``.  An unflagged screened error lies within half a
+    margin of its float64 value, so each grid-wide top-k cell and each scan
+    minimum is one of the re-run cells, and every cell left screened ranks
+    strictly behind them.  A narrower bank runs in float64 alone.
 
     A cell that blows up scores an infinite error, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        before_peak = int(np.argmax(obs))
-        windows = daily_removed(beta, eta, epsilon, horizon, before_peak,
-                                obs.size - before_peak, step=step)
-        errors, kappas = np.empty(len(windows)), np.empty(len(windows))
-        for first in range(0, len(windows), _SCORE_ROWS):
-            rows = slice(first, first + _SCORE_ROWS)
-            errors[rows], kappas[rows] = _score(windows[rows], obs, metric)
+        if np.size(beta) < _SCREEN_CELLS or top_k >= np.size(beta):
+            return _scores(beta, eta, epsilon, obs, horizon, step, metric)
+        errors, kappas, flagged = _screen(beta, eta, epsilon, obs, horizon, step,
+                                          metric)
+        cells = np.flatnonzero(flagged | _contenders(errors, flagged, beta, eta, top_k))
+        errors[cells], kappas[cells] = _scores(beta[cells], eta[cells], epsilon[cells],
+                                               obs, horizon, step, metric)
+    return errors, kappas
+
+
+def _scores(beta, eta, epsilon, obs, horizon, step, metric):
+    """(errors, kappas) of a float64 bank."""
+    before_peak = int(np.argmax(obs))
+    windows = daily_removed(beta, eta, epsilon, horizon, before_peak,
+                            obs.size - before_peak, step=step)
+    return _window_scores(windows, obs, metric)
+
+
+def _screen(beta, eta, epsilon, obs, horizon, step, metric):
+    """(errors, kappas, flagged) of a bank run in float32 and scored in float64.
+
+    A cell is flagged when its error is not finite, a blow-up overflowing
+    sooner in float32 included, or when another day of its window, or a day
+    next to it, comes within ``_TIE`` relative of its peak day: float32 may
+    pick another peak day, and so another window.
+    """
+    before_peak = int(np.argmax(obs))
+    # A day more on each side, so that the peak day has both neighbours.
+    padded = daily_removed(beta, eta, epsilon, horizon, before_peak + 1,
+                           obs.size - before_peak + 1, step=step, dtype=np.float32)
+    errors, kappas = _window_scores(padded[:, 1:-1], obs, metric)
+    peak = padded[:, before_peak + 1]
+    runner_up = np.maximum(padded[:, :before_peak + 1].max(axis=1),
+                           padded[:, before_peak + 2:].max(axis=1))
+    flagged = ~np.isfinite(errors) | (runner_up >= peak * (1.0 - _TIE))
+    return errors, kappas, flagged
+
+
+def _margin(threshold):
+    """How far above an error threshold a screened error may read and still
+    be re-run in float64: 0.02 points plus 1e-3 of the threshold."""
+    return 0.02 + 1e-3 * threshold
+
+
+def _contenders(errors, flagged, beta, eta, top_k):
+    """Whether each screened cell lies within ``_margin`` of the bank's
+    ``top_k``-th best error, or of the least error of its beta slice or its
+    eta slice within the bank.  The thresholds come from the unflagged
+    cells only: a flagged cell's screened error may read far too low."""
+    unflagged = np.where(flagged, np.inf, errors)
+    kth = np.partition(unflagged, top_k - 1)[top_k - 1]
+    near = errors <= kth + _margin(kth)
+    for axis in (beta, eta):
+        values, slice_of = np.unique(axis, return_inverse=True)
+        least = np.full(values.size, np.inf)
+        np.minimum.at(least, slice_of, unflagged)
+        least = least[slice_of]
+        near |= errors <= least + _margin(least)
+    return near
+
+
+def _window_scores(windows, obs, metric):
+    """``_score`` of each bank window, in float64, ``_SCORE_ROWS`` at a time."""
+    errors, kappas = np.empty(len(windows)), np.empty(len(windows))
+    for first in range(0, len(windows), _SCORE_ROWS):
+        rows = slice(first, first + _SCORE_ROWS)
+        errors[rows], kappas[rows] = _score(windows[rows].astype(float, copy=False),
+                                            obs, metric)
     return errors, kappas
 
 
@@ -249,7 +340,7 @@ def fit_error(
     """Error percentage and closed-form kappa for one parameter set."""
     obs, horizon = _check_inputs(observed, metric, DEFAULT_STEP, horizon_days)
     error, kappa = _bank_scores(
-        params.beta, params.eta, params.epsilon, obs, horizon, DEFAULT_STEP, metric
+        params.beta, params.eta, params.epsilon, obs, horizon, DEFAULT_STEP, metric, 1
     )
     return float(error[0]), float(kappa[0])
 
@@ -281,7 +372,7 @@ def grid_search(
     # Cells of similar R0 stop at about the same day, so a bank empties evenly.
     by_r0 = np.argsort(B / H, kind="stable")
     banks = np.array_split(by_r0, -(-n // _CHUNK))
-    jobs = [(B[c], H[c], X[c], obs, horizon, step, metric) for c in banks]
+    jobs = [(B[c], H[c], X[c], obs, horizon, step, metric, top_k) for c in banks]
     for cells, (bank_errors, bank_kappas) in zip(banks, _map_banks(jobs)):
         errors[cells], kappas[cells] = bank_errors, bank_kappas
     if not np.isfinite(errors).any():

@@ -180,20 +180,27 @@ def _rk4_stepper(y, rates, step: float):
     R'.  ``rates`` times the stage rows -S, E, I puts beta*S, epsilon*E and
     eta*I in rows 1-3; then row 0 gets F, row 1 E' = F - epsilon*E and row 2
     I' = epsilon*E - eta*I.  Each stage input is built in ``stage`` itself,
-    so a cell holds 21 doubles (y, total, slope, stage, rates and doubled
-    rates): 0.90 MiB on 5,600 cells, which fits a 1 MiB L2.  A step there
-    costs about 7.7 ns per cell, and 8.2 ns on 7,035 cells (1.13 MiB).  A
-    step is one flat loop of 27 calls on views bound here, with no Python
-    call of its own; on a narrow block its cost is the dispatch of those
-    calls.  The calls take only C-contiguous blocks and rows, 0-d constants
-    and positional ``out``: numpy dispatches those fastest.  So ``y`` and
-    ``rates`` must be C-ordered, also after a bank's compaction; on strided
-    rows a step costs about twice as much.
+    so a cell holds 21 numbers (y, total, slope, stage, rates and doubled
+    rates): 168 bytes in float64, 0.90 MiB on 5,600 cells, which fits a
+    1 MiB L2.  A step there costs about 7.7 ns per cell, and 8.2 ns on
+    7,035 cells (1.13 MiB).  A step is one flat loop of 27 calls on views
+    bound here, with no Python call of its own; on a narrow block its cost
+    is the dispatch of those calls.  The calls take only C-contiguous blocks
+    and rows, 0-d constants and positional ``out``: numpy dispatches those
+    fastest.  So ``y`` and ``rates`` must be C-ordered, also after a bank's
+    compaction; on strided rows a step costs about twice as much.
+
+    The block runs in ``y``'s dtype, float64 or float32, and ``rates`` must
+    share it: the scratch blocks and the 0-d constants are made in it, so
+    no call promotes to another dtype or allocates.  In float32 a cell
+    holds 84 bytes, and the same 27 calls move half as many.
     """
-    m = y.shape[1]
-    half, quarter, sixth = map(np.array, (0.5 * step, 0.25 * step, step / 6.0))
-    double = 2.0 * rates
-    total, slope, stage = np.empty((4, m)), np.empty((4, m)), np.empty((3, m))
+    m, dtype = y.shape[1], y.dtype
+    half, quarter, sixth = (np.array(c, dtype) for c in (0.5 * step, 0.25 * step,
+                                                          step / 6.0))
+    double = rates + rates  # exact, and in rates' own dtype
+    total, slope = np.empty((4, m), dtype), np.empty((4, m), dtype)
+    stage = np.empty((3, m), dtype)
     y3, y_i, total3, slope3, stage_i = y[:3], y[2], total[:3], slope[:3], stage[2]
     t_p, t_f, t_e, t_i, t_r = total[1:], total[0], total[1], total[2], total[3]
     s_p, s_f, s_e, s_i, s_r = slope[1:], slope[0], slope[1], slope[2], slope[3]
@@ -241,6 +248,7 @@ def daily_removed(
     after_peak: int,
     *,
     step: float = DEFAULT_STEP,
+    dtype=np.float64,
 ) -> np.ndarray:
     """Daily increments of R of SEIR parameter sets integrated side by side
     from the standard seed, each around its peak: the grid search's bank.
@@ -258,6 +266,11 @@ def daily_removed(
     so a cell's numbers do not depend on the bank it is integrated in.  They
     equal a classical RK4 run of the cell bit for bit unless a product
     underflows (see ``_rk4_stepper``).
+
+    ``dtype`` is the bank's floating type: float64, or float32 for a
+    screening pass that steps in about half the time.  The state, the rates,
+    the ring and the windows are all held in it; a float32 cell that
+    overflows (past 3.4e38) reads inf or NaN from then on.
     """
     days = n_days, before_peak, after_peak
     if not (all(isinstance(d, (int, np.integer)) for d in days)
@@ -266,16 +279,16 @@ def daily_removed(
                          f">= 0 and >= 1: {days!r}")
     per_day = steps_per_day(step)
     beta, eta, epsilon = (np.array(a, float, ndmin=1) for a in (beta, eta, epsilon))
-    rates = np.stack([-beta, epsilon, eta])
+    rates = np.stack([-beta, epsilon, eta]).astype(dtype, copy=False)
     n, width = beta.size, before_peak + after_peak
-    y = np.empty((4, n))
+    y = np.empty((4, n), dtype)
     y.T[:] = _seeded_start(DEFAULT_SEED)
     # Row i is cell i, as ``cells`` keeps it; ring slot d % width holds day d.
-    ring, windows = np.zeros((n, width)), np.zeros((n, width))
+    ring, windows = np.zeros((n, width), dtype), np.zeros((n, width), dtype)
     advance = _rk4_stepper(y, rates, step)
-    r_prev = np.zeros(n)
+    r_prev = np.zeros(n, dtype)
     cells = np.arange(n)
-    peak_value = np.full(n, -1.0)
+    peak_value = np.full(n, -1.0, dtype)
     last_day = np.zeros(n, int)  # the last day of the window of the peak so far
     # step * (beta + eta + epsilon) bounds |step * lambda| over the
     # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
@@ -292,7 +305,7 @@ def daily_removed(
             increment = np.maximum(y[3] - r_prev, 0.0)
             r_prev[:] = y[3]
         else:  # past the horizon, days read 0 until the last window is copied
-            falling, increment = True, np.zeros(cells.size)
+            falling, increment = True, np.zeros(cells.size, dtype)
         ring[cells, day % width] = increment
         # np.argmax's order: a NaN rises over a number, nothing over a NaN.
         rising = ~(increment <= peak_value) & (peak_value == peak_value)

@@ -13,6 +13,7 @@ import pytest
 
 import epiwave
 from epiwave import calibration
+from epiwave.cli import main
 from epiwave.calibration import (
     METRICS,
     FitCandidate,
@@ -300,17 +301,145 @@ def test_half_the_step_keeps_the_ranking(index, metric):
 
 
 def spy_on_banks(monkeypatch) -> list:
-    """Record the width of each bank this process integrates; forked workers
-    record in their own copy of the list."""
+    """Record the width and dtype name of each bank this process integrates;
+    forked workers record in their own copy of the list."""
     built = []
     bank = calibration.daily_removed
 
-    def spy_bank(beta, *args, **kwargs):
-        built.append(np.size(beta))
-        return bank(beta, *args, **kwargs)
+    def spy_bank(beta, *args, dtype=np.float64, **kwargs):
+        built.append((np.size(beta), np.dtype(dtype).name))
+        return bank(beta, *args, dtype=dtype, **kwargs)
 
     monkeypatch.setattr(calibration, "daily_removed", spy_bank)
     return built
+
+
+# 4,200 cells: one bank wide enough to be screened, or two with _CHUNK cut.
+SCREEN_GRID = GridSpec((0.15, 0.35, 30), (0.05, 0.20, 20), (2.0, 5.0, 7))
+
+
+def report_outputs(report) -> tuple:
+    """A report's candidates, kappas included, and both scans."""
+    return report.candidates, report.beta_scan, report.eta_scan
+
+
+def float64_only(monkeypatch) -> None:
+    """Raise the screening width above any grid here: every bank runs in
+    float64 alone."""
+    monkeypatch.setattr(calibration, "_SCREEN_CELLS", 10**9)
+
+
+class TestScreenedBanks:
+    """A bank of at least ``_SCREEN_CELLS`` cells runs in float32 and
+    re-runs its contenders in float64; its report equals a float64-only
+    fit's.  Banks run in this process, so that the spy sees each one."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        usable_cpus(monkeypatch, 1)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("index", range(5))
+    def test_screened_fit_equals_float64_fit(self, monkeypatch, tmp_path, index,
+                                             metric):
+        observed = ranking_waves()[index]
+        monkeypatch.setattr(calibration, "_CHUNK", SCREEN_GRID.n_cells // 2)
+        banks = spy_on_banks(monkeypatch)
+        reports = [grid_search(observed, SCREEN_GRID, metric)]
+        assert [dtype for _, dtype in banks] == ["float32", "float64"] * 2
+        float64_only(monkeypatch)
+        reports.append(grid_search(observed, SCREEN_GRID, metric))
+        for name, report in zip("ab", reports):
+            report.to_csv(tmp_path / f"{name}.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert report_outputs(reports[0]) == report_outputs(reports[1])
+
+    def test_a_flagged_cell_sets_no_threshold(self, monkeypatch):
+        """On synthetic-istanbul wave 1, the cell (beta 0.15101, eta 0.05101,
+        epsilon 5) peaks on two near-tied days.  It reads 9.0045 in float32
+        and 9.1861 in float64.  Were it to set its beta slice's threshold, the
+        slice minimum (eta 0.05201) would stay screened, at 9.044883731546735."""
+        observed = ranking_waves()[1]
+        default = GridSpec()
+        beta = float(default.beta_values[1])
+        grid = GridSpec((beta, float(default.beta_values[60]), 2),
+                        default.eta_range, default.epsilon_range)
+        banks = spy_on_banks(monkeypatch)
+        screened = grid_search(observed, grid)
+        assert banks[0] == (grid.n_cells, "float32")
+        assert screened.beta_scan[0] == (beta, 9.044899936788717)
+        float64_only(monkeypatch)
+        assert report_outputs(screened) == report_outputs(grid_search(observed, grid))
+
+    def test_flagged_cells_set_no_kth_best(self):
+        """The bank's k-th best comes from the unflagged cells alone: here
+        the 3rd best is 5.0, not the 3.0 that counting the flagged cell's
+        1.0 would make it, so the cell at 5.0 is a contender."""
+        errors = np.array([1.0, 3.0, 5.0, 3.0])
+        flagged = np.array([True, False, False, False])
+        slices = np.array([0.1, 0.2, 0.2, 0.3])  # 5.0 is no slice minimum
+        near = calibration._contenders(errors, flagged, slices, slices, 3)
+        assert near.tolist() == [True, True, True, True]
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("index", range(5))
+    def test_unflagged_screened_errors_lie_within_half_a_margin(self, index, metric):
+        """The bound that makes a screened report exact: an unflagged cell's
+        screened error is within half a ``_margin`` of its float64 error
+        (at most a seventh of that here)."""
+        observed = np.asarray(ranking_waves()[index].values, float)
+        b, h, x = (a.ravel() for a in np.meshgrid(
+            *(np.linspace(*axis) for axis in (SCREEN_GRID.beta_range,
+                                                SCREEN_GRID.eta_range,
+                                                (2.0, 5.0, 2))), indexing="ij"))
+        args = observed, calibration.default_horizon(observed.size), DEFAULT_STEP, metric
+        with np.errstate(over="ignore", invalid="ignore"):
+            screened, _, flagged = calibration._screen(b, h, x, *args)
+            exact, _ = calibration._scores(b, h, x, *args)
+        assert flagged.mean() < 0.05
+        ok = ~flagged
+        low = np.minimum(screened[ok], exact[ok])
+        assert np.all(np.abs(screened[ok] - exact[ok]) < calibration._margin(low) / 2)
+
+    def test_blown_up_cells_rerun_without_warnings(self, wave, monkeypatch):
+        """Float32 overflows at 3.4e38, float64 at 1.8e308.  Every cell that
+        blows up in float64 (epsilon 42 and 62 at step 0.1) reads a
+        non-finite screened error, so it re-runs; no overflow warning
+        escapes the screening pass."""
+        grid = GridSpec(SCREEN_GRID.beta_range, SCREEN_GRID.eta_range, (2.0, 62.0, 4))
+        banks = spy_on_banks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            screened = grid_search(wave, grid)
+            float64_only(monkeypatch)
+            exact = grid_search(wave, grid)
+        blown_up = np.isinf(exact.surface).sum()
+        assert blown_up == grid.n_cells // 2
+        assert banks[0] == (grid.n_cells, "float32") and banks[1][0] >= blown_up
+        assert report_outputs(screened) == report_outputs(exact)
+
+    def test_narrow_grid_builds_float64_banks_only(self, wave, monkeypatch):
+        banks = spy_on_banks(monkeypatch)
+        grid_search(wave, GridSpec((0.2, 0.3, 8), (0.05, 0.18, 8), (2.0, 4.0, 3)))
+        assert banks == [(192, "float64")]
+
+    def test_top_k_of_the_whole_bank_builds_float64_banks_only(
+            self, monkeypatch, tmp_path):
+        """A second pass would re-run every cell."""
+        banks = spy_on_banks(monkeypatch)
+        n = SCREEN_GRID.n_cells
+        rc = main(["fit", "--fixture", "synthetic-istanbul", "--wave-index", "1",
+                   "--beta-grid", "0.15,0.35,30", "--eta-grid", "0.05,0.2,20",
+                   "--epsilon-grid", "2,5,7", "--top-k", str(n), "--quiet",
+                   "--no-timestamp", "--out", str(tmp_path)])
+        assert rc == 0 and banks == [(n, "float64")]
+
+    def test_wide_bank_reruns_a_few_cells_in_float64(self, wave, monkeypatch):
+        banks = spy_on_banks(monkeypatch)
+        grid_search(wave, SCREEN_GRID)
+        (width, first), (rerun, second) = banks
+        assert (width, first, second) == (SCREEN_GRID.n_cells, "float32", "float64")
+        assert 10 <= rerun <= 0.05 * width
 
 
 def spy_on_pools(monkeypatch) -> list:
@@ -354,11 +483,26 @@ class TestBankPool:
             outputs.append(((tmp_path / f"report{cpus}.csv").read_bytes(),
                             report.beta_scan, report.eta_scan))
             if cpus == 1:  # five banks in this process, no pool
-                assert banks == [81] * 5 and pools == []
+                assert banks == [(81, "float64")] * 5 and pools == []
         assert pools == [2]
-        assert banks == [81] * 5  # the pooled run built none here
+        assert banks == [(81, "float64")] * 5  # the pooled run built none here
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == self.GRID.n_cells + 1
+
+    def test_screened_reports_equal_in_process_and_pooled(self, monkeypatch):
+        """Two screened banks give the float64-only report and scans, in this
+        process and on the pool."""
+        observed = ranking_waves()[1]
+        monkeypatch.setattr(calibration, "_CHUNK", SCREEN_GRID.n_cells // 2)
+        pools = spy_on_pools(monkeypatch)
+        outputs = []
+        default = calibration._SCREEN_CELLS
+        for cpus, screen_cells in ((1, 10**9), (1, default), (2, default)):
+            usable_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(calibration, "_SCREEN_CELLS", screen_cells)
+            outputs.append(report_outputs(grid_search(observed, SCREEN_GRID, "cum-mape")))
+        assert pools == [2]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_one_bank_starts_no_pool(self, wave, monkeypatch):
         monkeypatch.setattr(calibration, "_CHUNK", SMALL_GRID.n_cells)

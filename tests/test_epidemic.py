@@ -1,5 +1,6 @@
 import collections
 import datetime as dt
+import inspect
 import tracemalloc
 from itertools import islice
 
@@ -327,6 +328,37 @@ def test_rk4_block_step_allocates_nothing(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - before < 4096 * 8
+
+
+def test_rk4_float32_block_step_stays_float32_and_allocates_nothing():
+    """A float32 block makes its scratch blocks and 0-d step constants in
+    float32 too.  Under NEP 50 a float64 0-d constant is not demoted: every
+    call it enters would run in float64, silently.  So each array the step
+    reads is float32, and 100 steps of a 4,096-cell block allocate less
+    than one float32 row, 16 KiB."""
+    m = 4096
+    y = np.empty((4, m), np.float32)
+    y.T[:] = (-(1.0 - 2e-5), 1e-5, 1e-5, 0.0)
+    beta = np.linspace(0.2, 0.3, m)
+    rates = np.stack([-beta, np.full(m, 3.0), np.full(m, 0.1)]).astype(np.float32)
+    advance = _rk4_stepper(y, rates, 0.25)
+    arrays = {name: value for name, value in
+              inspect.getclosurevars(advance).nonlocals.items()
+              if isinstance(value, np.ndarray)}
+    assert [arrays[name].shape for name in ("half", "quarter", "sixth")] == [()] * 3
+    assert {name for name, a in arrays.items() if a.dtype != np.float32} == set()
+    assert arrays["total"].shape == arrays["slope"].shape == (4, m)
+    assert arrays["stage"].shape == (3, m)
+    advance(1)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        advance(100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < m * 4
+    assert y.dtype == np.float32 and np.isfinite(y).all()
 
 
 def test_rk4_block_stays_contiguous_after_compaction(monkeypatch):

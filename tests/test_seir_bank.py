@@ -19,6 +19,7 @@ from epiwave.calibration import GridSpec, grid_search
 from epiwave.epidemic import daily_removed
 from epiwave.series import DailyCountSeries
 from rk4_reference import _daily_new_removed, peak_windows
+from test_calibration import spy_on_banks, usable_cpus
 
 STEPS = (0.05, 0.25, 0.5)
 # Cells too fast for a coarse step blow up, in both kernels alike.
@@ -126,7 +127,7 @@ def test_grid_search_equals_reference_scoring(beta, eta, epsilon, observed, step
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_banks_around_the_chunk_size(offset):
+def test_banks_around_the_chunk_size(offset, monkeypatch):
     # One beta axis at eta 0.2 spans R0 0.1-4: cells that never take off,
     # cells near threshold and fast waves share the banks.
     n = calibration._CHUNK + offset
@@ -139,6 +140,8 @@ def test_banks_around_the_chunk_size(offset):
 
     wave = dd[3 * n // 4, 5:60] * 1e5
     observed = DailyCountSeries(start=dt.date(2020, 3, 1), values=wave)
+    usable_cpus(monkeypatch, 1)
+    banks = spy_on_banks(monkeypatch)
     for metric in calibration.METRICS:
         error, kappa = calibration._score(reference_windows(dd, wave), wave, metric)
         expected = {(bi, 0.2, 3.0): (e, k) for bi, e, k in
@@ -146,6 +149,21 @@ def test_banks_around_the_chunk_size(offset):
         report = grid_search(observed, grid, metric, n, horizon_days=horizon,
                              step=step)
         assert_report_matches(report, expected)
+    # top_k covers every bank, so none is screened in float32.
+    assert {dtype for _, dtype in banks} == {"float64"}
+
+
+def test_float32_bank_follows_the_float64_bank():
+    """A float32 bank holds float32 windows on the same peak days.  A day's
+    increment is a difference of R, which float32 holds to about 6e-8, so
+    the windows agree to an absolute 2e-6 (4e-7 measured), not relatively."""
+    n = 64
+    bank = np.linspace(0.15, 0.6, n), np.linspace(0.05, 0.2, n), np.full(n, 3.0)
+    exact = daily_removed(*bank, 240, 30, 40)
+    screened = daily_removed(*bank, 240, 30, 40, dtype=np.float32)
+    assert screened.dtype == np.float32
+    assert np.array_equal(np.argmax(screened, axis=1), np.argmax(exact, axis=1))
+    assert np.allclose(screened, exact, rtol=0.0, atol=2e-6)
 
 
 @blow_ups_expected
