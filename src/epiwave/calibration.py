@@ -9,17 +9,21 @@ observed peak, in percent; a cumulative-MAPE alternative is selectable.
 
 Cells are integrated in banks of similar R0, each only until its window is
 covered; results are collected and then sorted, so the ranking is
-independent of evaluation order.  A wide bank runs first in float32 and
-then re-runs in float64 the cells that can reach the report or a scan, so
-both keep their float64 bytes.  Grids of more than one bank run their
-banks on one worker process per usable CPU where ``fork`` exists.
+independent of evaluation order.  A wide grid is screened: every bank runs
+in float32 at twice the fit's step, and then the cells that can reach the
+report or a scan re-run together in float64 at the fit's step, so both
+keep their float64 bytes.  Grids of more than one bank run their banks on
+one worker process per usable CPU where ``fork`` exists, one pool for both
+passes.
 """
 from __future__ import annotations
 
 import os
 import sys
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,19 +41,20 @@ METRICS = ("nrmse-peak", "cum-mape")
 # clearly faster on fit-oracle: median 63.5k -> 66.3k cells/s over 10
 # alternating pairs, within the spread.
 _CHUNK = 8192
-# Banks at least this wide are screened in float32 and their contenders
-# confirmed in float64 (see ``_bank_scores``).  Measured, like ``_CHUNK``, on
-# whole fits of one bank in one pinned process: screening cost 4-6 % at
-# 1,024-1,600 cells and gained 1.11-1.18x at 2,304-4,096 and 1.41x at
-# 6,400.  A narrow float64 confirmation bank costs numpy's dispatch, about
-# what a 512-cell bank costs, whatever its width.
+# Grids at least this wide, and wider than ``top_k``, are screened (see
+# ``grid_search``).  Measured, like ``_CHUNK``, on whole fits of one bank in
+# one pinned process, with a float32 pass at the fit's step: screening cost
+# 4-6 % at 1,024-1,600 cells and gained 1.11-1.18x at 2,304-4,096 and 1.41x
+# at 6,400.  A narrow float64 confirmation bank costs numpy's dispatch,
+# about what a 512-cell bank costs, whatever its width.
 _SCREEN_CELLS = 2048
 # A screened cell is re-run in float64 when another day comes within _TIE
-# relative of its peak day, as float32 may order such days differently.
-# Away from such ties a screened error stayed within 2.2e-3 points of its
-# float64 value below 50 points and 1.5e-4 relative above; half a
-# ``_margin`` is at least 4.5 times the first and 3.3 times the second.
-_TIE = 2e-5
+# relative of its peak day, as float32 and the doubled step may order such
+# days differently.  At a tie band of 2e-5, cells left unflagged flipped
+# their peak day between steps 0.2 and 0.1 and moved by up to 86 half
+# margins; at 5e-5, by 73.  At 1e-4 the worst unflagged cell moved by 0.095
+# of a half margin over 30 inputs, with 5.7-9.5 % of the cells flagged.
+_TIE = 1e-4
 _SCORE_ROWS = 512  # cells per _score call: keeps its temporaries small
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
@@ -114,11 +119,11 @@ class FitReport:
     nepsilon); each scan pairs an axis value with its least error.
 
     Every candidate's error and each scan minimum are exact float64 values.
-    In a bank that was screened in float32 (see ``_bank_scores``), the other
-    ``surface`` entries may be screened values: float32 runs scored in
-    float64, within half a ``_margin`` of their float64 errors on every
-    input measured.  Each ranks strictly behind every candidate and behind
-    its slices' minima."""
+    In a grid that was screened (see ``grid_search``), the other ``surface``
+    entries may be screened values: float32 runs at the screening step,
+    scored in float64, within half a ``_margin`` of their float64 errors at
+    the fit's step on every input measured.  Each ranks strictly behind
+    every candidate and behind its slices' minima."""
 
     candidates: list[FitCandidate]
     grid: GridSpec
@@ -201,44 +206,32 @@ def _check_inputs(observed: DailyCountSeries, metric, step, horizon_days):
     return obs, horizon_days
 
 
-def _bank_scores(beta, eta, epsilon, obs, horizon, step, metric, top_k):
-    """(errors, kappas) of one bank of cells, exact in float64 where they count.
-
-    A bank of at least ``_SCREEN_CELLS`` cells, and more than ``top_k``, is
-    screened (``_screen``) and then re-runs in float64 its flagged cells and
-    its ``_contenders``.  An unflagged screened error lies within half a
-    margin of its float64 value, so each grid-wide top-k cell and each scan
-    minimum is one of the re-run cells, and every cell left screened ranks
-    strictly behind them.  A narrower bank runs in float64 alone.
-
-    A cell that blows up scores an infinite error, without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.size(beta) < _SCREEN_CELLS or top_k >= np.size(beta):
-            return _scores(beta, eta, epsilon, obs, horizon, step, metric)
-        errors, kappas, flagged = _screen(beta, eta, epsilon, obs, horizon, step,
-                                          metric)
-        cells = np.flatnonzero(flagged | _contenders(errors, flagged, beta, eta, top_k))
-        errors[cells], kappas[cells] = _scores(beta[cells], eta[cells], epsilon[cells],
-                                               obs, horizon, step, metric)
-    return errors, kappas
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _scores(beta, eta, epsilon, obs, horizon, step, metric):
-    """(errors, kappas) of a float64 bank."""
+    """(errors, kappas) of a float64 bank; a cell that blows up scores an
+    infinite error, without a warning."""
     before_peak = int(np.argmax(obs))
     windows = daily_removed(beta, eta, epsilon, horizon, before_peak,
                             obs.size - before_peak, step=step)
     return _window_scores(windows, obs, metric)
 
 
+def _screen_step(step):
+    """The step of a screening pass: twice ``step`` while that still divides
+    a day into at least 5 steps (0.2 day), else ``step`` itself."""
+    per_day = steps_per_day(step)
+    return 2.0 * step if per_day >= 10 and per_day % 2 == 0 else step
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _screen(beta, eta, epsilon, obs, horizon, step, metric):
     """(errors, kappas, flagged) of a bank run in float32 and scored in float64.
 
     A cell is flagged when its error is not finite, a blow-up overflowing
-    sooner in float32 included, or when another day of its window, or a day
-    next to it, comes within ``_TIE`` relative of its peak day: float32 may
-    pick another peak day, and so another window.
+    sooner in float32 included; when another day of its window, or a day
+    next to it, comes within ``_TIE`` relative of its peak day, as float32
+    or the coarse step may pick another peak day, and so another window;
+    or when step * (beta + eta + epsilon) > 2, where RK4 may turn unstable.
     """
     before_peak = int(np.argmax(obs))
     # A day more on each side, so that the peak day has both neighbours.
@@ -248,7 +241,8 @@ def _screen(beta, eta, epsilon, obs, horizon, step, metric):
     peak = padded[:, before_peak + 1]
     runner_up = np.maximum(padded[:, :before_peak + 1].max(axis=1),
                            padded[:, before_peak + 2:].max(axis=1))
-    flagged = ~np.isfinite(errors) | (runner_up >= peak * (1.0 - _TIE))
+    flagged = (~np.isfinite(errors) | (runner_up >= peak * (1.0 - _TIE))
+               | (step * (beta + eta + epsilon) > 2.0))
     return errors, kappas, flagged
 
 
@@ -258,21 +252,18 @@ def _margin(threshold):
     return 0.02 + 1e-3 * threshold
 
 
-def _contenders(errors, flagged, beta, eta, top_k):
-    """Whether each screened cell lies within ``_margin`` of the bank's
-    ``top_k``-th best error, or of the least error of its beta slice or its
-    eta slice within the bank.  The thresholds come from the unflagged
-    cells only: a flagged cell's screened error may read far too low."""
+def _contenders(errors, flagged, top_k):
+    """Whether each screened cell of the (nbeta, neta, nepsilon) grid lies
+    within ``_margin`` of the grid's ``top_k``-th best error, or of the
+    least error of its beta slice or its eta slice.  The thresholds come
+    from the unflagged cells only: a flagged cell's screened error may read
+    far too low."""
     unflagged = np.where(flagged, np.inf, errors)
-    kth = np.partition(unflagged, top_k - 1)[top_k - 1]
-    near = errors <= kth + _margin(kth)
-    for axis in (beta, eta):
-        values, slice_of = np.unique(axis, return_inverse=True)
-        least = np.full(values.size, np.inf)
-        np.minimum.at(least, slice_of, unflagged)
-        least = least[slice_of]
-        near |= errors <= least + _margin(least)
-    return near
+    kth = np.partition(unflagged, top_k - 1, axis=None)[top_k - 1]
+    # A margin grows with its threshold, so a cell's highest threshold decides.
+    threshold = np.maximum(np.maximum(unflagged.min(axis=(1, 2))[:, None, None],
+                                      unflagged.min(axis=(0, 2))[:, None]), kth)
+    return errors <= threshold + _margin(threshold)
 
 
 def _window_scores(windows, obs, metric):
@@ -304,8 +295,10 @@ def _exit_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _map_banks(jobs):
-    """``_bank_scores`` of each job, on one worker process per usable CPU.
+@contextmanager
+def _bank_pool(n_banks: int):
+    """(workers, map) for ``n_banks`` banks: a pool of one worker process per
+    usable CPU, or this process.
 
     Where there is one CPU, one bank or no ``fork``, the banks run in this
     process.  Each worker ends with this process.  The pool modules are
@@ -313,7 +306,7 @@ def _map_banks(jobs):
     of epiwave.
     """
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
-    workers = min(len(usable), len(jobs))
+    workers = min(len(usable), n_banks)
     if workers > 1:
         import multiprocessing
 
@@ -326,8 +319,9 @@ def _map_banks(jobs):
             with ProcessPoolExecutor(workers, mp_context=context,
                                      initializer=_exit_with_parent,
                                      initargs=(os.getpid(),)) as pool:
-                return list(pool.map(_bank_scores, *zip(*jobs)))
-    return list(map(_bank_scores, *zip(*jobs)))
+                yield workers, pool.map
+            return
+    yield 1, map
 
 
 def fit_error(
@@ -339,9 +333,8 @@ def fit_error(
 ) -> tuple[float, float]:
     """Error percentage and closed-form kappa for one parameter set."""
     obs, horizon = _check_inputs(observed, metric, DEFAULT_STEP, horizon_days)
-    error, kappa = _bank_scores(
-        params.beta, params.eta, params.epsilon, obs, horizon, DEFAULT_STEP, metric, 1
-    )
+    error, kappa = _scores(params.beta, params.eta, params.epsilon, obs, horizon,
+                           DEFAULT_STEP, metric)
     return float(error[0]), float(kappa[0])
 
 
@@ -356,6 +349,15 @@ def grid_search(
 ) -> FitReport:
     """Exhaustive scan of the grid; deterministic collect-then-sort ranking.
 
+    A grid of at least ``_SCREEN_CELLS`` cells, and more than ``top_k``, is
+    screened: every bank runs ``_screen`` at ``_screen_step(step)``, and
+    then its flagged cells and its ``_contenders`` re-run in float64 at
+    ``step``, in R0-sorted banks, at least one per worker.  An unflagged
+    screened error lies within half a margin of its float64 value, so each
+    top-k cell and each scan minimum is one of the re-run cells, and every
+    cell left screened ranks strictly behind them.  A narrower grid runs in
+    float64 alone.
+
     Raises IntegrationError when no cell has a finite error.
     """
     if grid is None:
@@ -367,14 +369,30 @@ def grid_search(
     bv, ev, xv = grid.beta_values, grid.eta_values, grid.epsilon_values
     B, H, X = (a.ravel() for a in np.meshgrid(bv, ev, xv, indexing="ij"))
     n = B.size
-    errors = np.empty(n)
-    kappas = np.empty(n)
+    errors, kappas = np.empty(n), np.empty(n)
     # Cells of similar R0 stop at about the same day, so a bank empties evenly.
     by_r0 = np.argsort(B / H, kind="stable")
     banks = np.array_split(by_r0, -(-n // _CHUNK))
-    jobs = [(B[c], H[c], X[c], obs, horizon, step, metric, top_k) for c in banks]
-    for cells, (bank_errors, bank_kappas) in zip(banks, _map_banks(jobs)):
-        errors[cells], kappas[cells] = bank_errors, bank_kappas
+    with _bank_pool(len(banks)) as (workers, bank_map):
+
+        def run(scores, at_step, cells_of, into):
+            jobs = [[a[c] for c in cells_of] for a in (B, H, X)]
+            each = partial(scores, obs=obs, horizon=horizon, step=at_step, metric=metric)
+            for cells, results in zip(cells_of, bank_map(each, *jobs)):
+                for out, result in zip(into, results):
+                    out[cells] = result
+
+        if n < _SCREEN_CELLS or top_k >= n:
+            run(_scores, step, banks, (errors, kappas))
+        else:
+            flagged = np.empty(n, bool)
+            run(_screen, _screen_step(step), banks, (errors, kappas, flagged))
+            shape = bv.size, ev.size, xv.size
+            rerun = flagged | _contenders(errors.reshape(shape), flagged.reshape(shape),
+                                          top_k).ravel()
+            cells = by_r0[rerun[by_r0]]
+            count = min(cells.size, max(workers, -(-cells.size // _CHUNK)))
+            run(_scores, step, np.array_split(cells, count), (errors, kappas))
     if not np.isfinite(errors).any():
         raise IntegrationError("no grid cell has a finite error; check step and rates")
 
