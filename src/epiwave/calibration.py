@@ -8,13 +8,13 @@ window and scores the fit.  The default metric is RMSE normalized by the
 observed peak, in percent; a cumulative-MAPE alternative is selectable.
 
 Cells are integrated in banks of similar R0, each only until its window is
-covered; results are collected and then sorted, so the ranking is
+covered, and every bank of every pass runs one job, ``_bank``, at its own
+step and dtype; results are collected and then sorted, so the ranking is
 independent of evaluation order.  A wide grid is screened: every bank runs
-in float32 at twice the fit's step, and then the cells that can reach the
-report or a scan re-run together in float64 at the fit's step, so both
-keep their float64 bytes.  Grids of more than one bank run their banks on
-one worker process per usable CPU where ``fork`` exists, one pool for both
-passes.
+in float32 at twice the fit's step, then the cells that can reach the
+report or a scan re-run together in float64 at the fit's step, so both keep
+their float64 bytes.  Several banks run on one worker process per usable
+CPU where ``fork`` exists, one pool for both passes.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .epidemic import (DEFAULT_STEP, IntegrationError, SeirParams, daily_removed,
-                       steps_per_day)
+from .epidemic import (DEFAULT_STEP, RK4_STABILITY_BOUND, IntegrationError,
+                       SeirParams, daily_removed, steps_per_day)
 from .series import DailyCountSeries, SeriesError, read_csv, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
@@ -42,11 +42,11 @@ METRICS = ("nrmse-peak", "cum-mape")
 # alternating pairs, within the spread.
 _CHUNK = 8192
 # Grids at least this wide, and wider than ``top_k``, are screened (see
-# ``grid_search``).  Measured, like ``_CHUNK``, on whole fits of one bank in
-# one pinned process, with a float32 pass at the fit's step: screening cost
-# 4-6 % at 1,024-1,600 cells and gained 1.11-1.18x at 2,304-4,096 and 1.41x
-# at 6,400.  A narrow float64 confirmation bank costs numpy's dispatch,
-# about what a 512-cell bank costs, whatever its width.
+# ``grid_search``).  Fits of the four synthetic-istanbul waves in one pinned
+# process (2-CPU Xeon VM), float64 alone -> screened, for each metric: 0.12
+# -> 0.17 s at 192 cells, 0.24-0.25 -> 0.24-0.25 s at 1,024, 0.32-0.33 ->
+# 0.27 s at 1,600 and 0.41-0.46 -> 0.30 s at 2,304.  The break-even lies
+# near 1,024 cells, but no benchmark grid lies between 192 and 2,048.
 _SCREEN_CELLS = 2048
 # A screened cell is re-run in float64 when another day comes within _TIE
 # relative of its peak day, as float32 and the doubled step may order such
@@ -206,16 +206,6 @@ def _check_inputs(observed: DailyCountSeries, metric, step, horizon_days):
     return obs, horizon_days
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _scores(beta, eta, epsilon, obs, horizon, step, metric):
-    """(errors, kappas) of a float64 bank; a cell that blows up scores an
-    infinite error, without a warning."""
-    before_peak = int(np.argmax(obs))
-    windows = daily_removed(beta, eta, epsilon, horizon, before_peak,
-                            obs.size - before_peak, step=step)
-    return _window_scores(windows, obs, metric)
-
-
 def _screen_step(step):
     """The step of a screening pass: twice ``step`` while that still divides
     a day into at least 5 steps (0.2 day), else ``step`` itself."""
@@ -224,25 +214,32 @@ def _screen_step(step):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _screen(beta, eta, epsilon, obs, horizon, step, metric):
-    """(errors, kappas, flagged) of a bank run in float32 and scored in float64.
+def _bank(beta, eta, epsilon, obs, horizon, step, metric, dtype=np.float64):
+    """(errors, kappas, flagged) of a bank run in ``dtype`` and scored in
+    float64, ``_SCORE_ROWS`` cells at a time; a cell that blows up scores
+    an infinite error, without a warning.
 
-    A cell is flagged when its error is not finite, a blow-up overflowing
-    sooner in float32 included; when another day of its window, or a day
-    next to it, comes within ``_TIE`` relative of its peak day, as float32
-    or the coarse step may pick another peak day, and so another window;
-    or when step * (beta + eta + epsilon) > 2, where RK4 may turn unstable.
+    Only a screening pass reads the flags.  A cell is flagged when its error
+    is not finite, a blow-up overflowing sooner in float32 included; when
+    another day of its window, or a day next to it, comes within ``_TIE``
+    relative of its peak day, as float32 or the coarse step may pick another
+    peak day, and so another window; or when the step passes
+    ``RK4_STABILITY_BOUND``.
     """
     before_peak = int(np.argmax(obs))
     # A day more on each side, so that the peak day has both neighbours.
     padded = daily_removed(beta, eta, epsilon, horizon, before_peak + 1,
-                           obs.size - before_peak + 1, step=step, dtype=np.float32)
-    errors, kappas = _window_scores(padded[:, 1:-1], obs, metric)
+                           obs.size - before_peak + 1, step=step, dtype=dtype)
+    errors, kappas = np.empty(len(padded)), np.empty(len(padded))
+    for first in range(0, len(padded), _SCORE_ROWS):
+        rows = slice(first, first + _SCORE_ROWS)
+        errors[rows], kappas[rows] = _score(padded[rows, 1:-1].astype(float, copy=False),
+                                            obs, metric)
     peak = padded[:, before_peak + 1]
     runner_up = np.maximum(padded[:, :before_peak + 1].max(axis=1),
                            padded[:, before_peak + 2:].max(axis=1))
     flagged = (~np.isfinite(errors) | (runner_up >= peak * (1.0 - _TIE))
-               | (step * (beta + eta + epsilon) > 2.0))
+               | (step * (beta + eta + epsilon) > RK4_STABILITY_BOUND))
     return errors, kappas, flagged
 
 
@@ -264,16 +261,6 @@ def _contenders(errors, flagged, top_k):
     threshold = np.maximum(np.maximum(unflagged.min(axis=(1, 2))[:, None, None],
                                       unflagged.min(axis=(0, 2))[:, None]), kth)
     return errors <= threshold + _margin(threshold)
-
-
-def _window_scores(windows, obs, metric):
-    """``_score`` of each bank window, in float64, ``_SCORE_ROWS`` at a time."""
-    errors, kappas = np.empty(len(windows)), np.empty(len(windows))
-    for first in range(0, len(windows), _SCORE_ROWS):
-        rows = slice(first, first + _SCORE_ROWS)
-        errors[rows], kappas[rows] = _score(windows[rows].astype(float, copy=False),
-                                            obs, metric)
-    return errors, kappas
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -333,8 +320,8 @@ def fit_error(
 ) -> tuple[float, float]:
     """Error percentage and closed-form kappa for one parameter set."""
     obs, horizon = _check_inputs(observed, metric, DEFAULT_STEP, horizon_days)
-    error, kappa = _scores(params.beta, params.eta, params.epsilon, obs, horizon,
-                           DEFAULT_STEP, metric)
+    error, kappa, _ = _bank(params.beta, params.eta, params.epsilon, obs, horizon,
+                            DEFAULT_STEP, metric)
     return float(error[0]), float(kappa[0])
 
 
@@ -350,8 +337,8 @@ def grid_search(
     """Exhaustive scan of the grid; deterministic collect-then-sort ranking.
 
     A grid of at least ``_SCREEN_CELLS`` cells, and more than ``top_k``, is
-    screened: every bank runs ``_screen`` at ``_screen_step(step)``, and
-    then its flagged cells and its ``_contenders`` re-run in float64 at
+    screened: every bank runs ``_bank`` in float32 at ``_screen_step(step)``,
+    and then its flagged cells and its ``_contenders`` re-run in float64 at
     ``step``, in R0-sorted banks, at least one per worker.  An unflagged
     screened error lies within half a margin of its float64 value, so each
     top-k cell and each scan minimum is one of the re-run cells, and every
@@ -369,30 +356,29 @@ def grid_search(
     bv, ev, xv = grid.beta_values, grid.eta_values, grid.epsilon_values
     B, H, X = (a.ravel() for a in np.meshgrid(bv, ev, xv, indexing="ij"))
     n = B.size
-    errors, kappas = np.empty(n), np.empty(n)
+    errors, kappas, flagged = np.empty(n), np.empty(n), np.empty(n, bool)
     # Cells of similar R0 stop at about the same day, so a bank empties evenly.
     by_r0 = np.argsort(B / H, kind="stable")
     banks = np.array_split(by_r0, -(-n // _CHUNK))
     with _bank_pool(len(banks)) as (workers, bank_map):
 
-        def run(scores, at_step, cells_of, into):
+        def run(cells_of, at_step, dtype=np.float64):
             jobs = [[a[c] for c in cells_of] for a in (B, H, X)]
-            each = partial(scores, obs=obs, horizon=horizon, step=at_step, metric=metric)
+            each = partial(_bank, obs=obs, horizon=horizon, step=at_step,
+                           metric=metric, dtype=dtype)
             for cells, results in zip(cells_of, bank_map(each, *jobs)):
-                for out, result in zip(into, results):
-                    out[cells] = result
+                errors[cells], kappas[cells], flagged[cells] = results
 
         if n < _SCREEN_CELLS or top_k >= n:
-            run(_scores, step, banks, (errors, kappas))
+            run(banks, step)
         else:
-            flagged = np.empty(n, bool)
-            run(_screen, _screen_step(step), banks, (errors, kappas, flagged))
+            run(banks, _screen_step(step), np.float32)
             shape = bv.size, ev.size, xv.size
             rerun = flagged | _contenders(errors.reshape(shape), flagged.reshape(shape),
                                           top_k).ravel()
             cells = by_r0[rerun[by_r0]]
             count = min(cells.size, max(workers, -(-cells.size // _CHUNK)))
-            run(_scores, step, np.array_split(cells, count), (errors, kappas))
+            run(np.array_split(cells, count), step)
     if not np.isfinite(errors).any():
         raise IntegrationError("no grid cell has a finite error; check step and rates")
 

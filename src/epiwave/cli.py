@@ -26,6 +26,7 @@ from .calibration import GridSpec
 from .epidemic import (
     DEFAULT_SEED,
     DEFAULT_STEP,
+    RK4_STABILITY_BOUND,
     IntegrationError,
     SeirParams,
     daily_deaths,
@@ -347,7 +348,8 @@ _FIT_DEFAULTS = inspect.signature(calibration.grid_search).parameters
 _EPILOGS = {"fit": (
     f"Every cell is integrated at the RK4 step of {DEFAULT_STEP:g} day and stops "
     "once its peak-aligned window is covered; a cell too fast for that step, "
-    f"step*(beta+eta+epsilon) > 2 (beta+eta+epsilon > {2 / DEFAULT_STEP:g}), "
+    f"step*(beta+eta+epsilon) > {RK4_STABILITY_BOUND:g} "
+    f"(beta+eta+epsilon > {RK4_STABILITY_BOUND / DEFAULT_STEP:g}), "
     "never stops early and runs the whole horizon.")}
 _DATE = dt.date.fromisoformat
 

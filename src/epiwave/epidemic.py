@@ -26,6 +26,9 @@ from .series import write_csv
 DEFAULT_STEP = 0.1  # days
 DEFAULT_SEED = 1e-5  # initial infected/exposed fraction
 MAX_STEPS_PER_DAY = 10_000  # a step of 1e-4 day; a 200-day run is 2e6 steps
+# step * (beta + eta + epsilon) bounds |step * lambda| over the SEIR
+# Jacobian's eigenvalues; above this bound RK4 may turn unstable.
+RK4_STABILITY_BOUND = 2.0
 
 
 class IntegrationError(RuntimeError):
@@ -260,7 +263,8 @@ def daily_removed(
     cell stops once its increments are past their maximum for good and its
     window is copied out of its ring of recent days; it leaves the bank that
     day, and integration ends when no cell is left.  A cell too fast for the
-    step, step * (beta + eta + epsilon) > 2, never stops early.
+    step, step * (beta + eta + epsilon) > ``RK4_STABILITY_BOUND``, never
+    stops early.
 
     Each step does the same IEEE operations in the same order on every cell,
     so a cell's numbers do not depend on the bank it is integrated in.  They
@@ -290,10 +294,8 @@ def daily_removed(
     cells = np.arange(n)
     peak_value = np.full(n, -1.0, dtype)
     last_day = np.zeros(n, int)  # the last day of the window of the peak so far
-    # step * (beta + eta + epsilon) bounds |step * lambda| over the
-    # Jacobian's eigenvalues.  Above 2, RK4 may turn unstable and blow up
-    # after the peak, so such a cell runs the whole horizon.
-    stable = step * (beta + eta + epsilon) <= 2.0
+    # An unstable cell may blow up after its peak, so it runs the whole horizon.
+    stable = step * (beta + eta + epsilon) <= RK4_STABILITY_BOUND
     for day in range(n_days + after_peak - 1):
         if day < n_days:
             # beta*S < eta stays true as S falls, and then I'' = eps*E' < 0

@@ -24,7 +24,7 @@ from epiwave.calibration import (
     read_fit_report,
 )
 from epiwave.epidemic import (DEFAULT_STEP, IntegrationError, SeirParams, daily_deaths,
-                              integrate)
+                              daily_removed, integrate)
 from epiwave.fixtures import synthetic_istanbul, synthetic_wave
 from epiwave.series import DailyCountSeries
 from epiwave.waves import segment_waves
@@ -300,6 +300,25 @@ def test_half_the_step_keeps_the_ranking(index, metric):
     assert np.abs(coarse.surface - fine.surface)[finite].max() <= 1e-4
 
 
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("index", range(5))
+def test_padded_bank_scores_as_its_contiguous_window(index, metric):
+    """``_bank`` scores the view of its window padded by a day on each side
+    bit for bit as ``_score`` scores the window the bank returns unpadded."""
+    obs = np.asarray(ranking_waves()[index].values, float)
+    grid = GridSpec((0.2, 0.3, 8), (0.05, 0.18, 8), (2.0, 4.0, 3))
+    b, h, x = (a.ravel() for a in np.meshgrid(
+        grid.beta_values, grid.eta_values, grid.epsilon_values, indexing="ij"))
+    horizon = calibration.default_horizon(obs.size)
+    before_peak = int(np.argmax(obs))
+    window = daily_removed(b, h, x, horizon, before_peak, obs.size - before_peak)
+    assert window.flags.c_contiguous
+    expected = calibration._score(window, obs, metric)
+    errors, kappas, _ = calibration._bank(b, h, x, obs, horizon, DEFAULT_STEP, metric)
+    assert errors.tobytes() == expected[0].tobytes()
+    assert kappas.tobytes() == expected[1].tobytes()
+
+
 def spy_on_banks(monkeypatch) -> list:
     """Record the width and dtype name of each bank this process integrates;
     forked workers record in their own copy of the list."""
@@ -334,9 +353,10 @@ def unflagged_within_half_a_margin(b, h, x, observed, metric) -> np.ndarray:
     each unflagged one lies within half a ``_margin`` of its float64 error
     at the default step; return the flags."""
     horizon = calibration.default_horizon(observed.size)
-    screened, _, flagged = calibration._screen(
-        b, h, x, observed, horizon, calibration._screen_step(DEFAULT_STEP), metric)
-    exact, _ = calibration._scores(b, h, x, observed, horizon, DEFAULT_STEP, metric)
+    screened, _, flagged = calibration._bank(
+        b, h, x, observed, horizon, calibration._screen_step(DEFAULT_STEP), metric,
+        np.float32)
+    exact, _, _ = calibration._bank(b, h, x, observed, horizon, DEFAULT_STEP, metric)
     ok = ~flagged
     low = np.minimum(screened[ok], exact[ok])
     assert np.all(np.abs(screened[ok] - exact[ok]) < calibration._margin(low) / 2)
@@ -474,13 +494,14 @@ class TestScreenedBanks:
         its own step."""
         observed = ranking_waves()[1]
         screened_at = []
-        screen = calibration._screen
+        bank = calibration._bank
 
-        def spy_screen(*args, step, **kwargs):
-            screened_at.append(step)
-            return screen(*args, step=step, **kwargs)
+        def spy_bank(*args, step, dtype, **kwargs):
+            if dtype == np.float32:
+                screened_at.append(step)
+            return bank(*args, step=step, dtype=dtype, **kwargs)
 
-        monkeypatch.setattr(calibration, "_screen", spy_screen)
+        monkeypatch.setattr(calibration, "_bank", spy_bank)
         screened = grid_search(observed, SCREEN_GRID, metric, step=step)
         assert screened_at == [coarse]
         float64_only(monkeypatch)

@@ -454,6 +454,15 @@ def test_module_entry_point_prints_usage():
     assert done.stdout.startswith("usage: epiwave")
 
 
+def test_fit_help_names_the_step_and_its_stability_bound(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["fit", "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "at the RK4 step of 0.1 day" in text
+    assert "step*(beta+eta+epsilon) > 2 (beta+eta+epsilon > 20)" in text
+
+
 def test_bad_table_row_writes_no_table(tmp_path, capsys):
     src = tmp_path / "r0s.csv"
     src.write_text("wave,r0\na,2.5\nb,abc\n")
