@@ -13,8 +13,8 @@ step and dtype; results are collected and then sorted, so the ranking is
 independent of evaluation order.  A wide grid is screened: every bank runs
 in float32 at twice the fit's step, then the cells that can reach the
 report or a scan re-run together in float64 at the fit's step, so both keep
-their float64 bytes.  Several banks run on one worker process per usable
-CPU where ``fork`` exists, one pool for both passes.
+their float64 bytes.  Several banks run on one forked worker process per
+usable CPU, one pool for both passes.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .epidemic import (DEFAULT_STEP, RK4_STABILITY_BOUND, IntegrationError,
                        SeirParams, daily_removed, steps_per_day)
-from .series import DailyCountSeries, SeriesError, read_csv, write_csv
+from .series import DailyCountSeries, read_csv, write_csv
 
 METRICS = ("nrmse-peak", "cum-mape")
 
@@ -148,17 +148,9 @@ class FitReport:
 def read_fit_report(path) -> list[FitCandidate]:
     """The candidates of a fit_report.csv, in file order; SeriesError, naming
     ``path:line``, for a row that ``SeirParams`` or ``FitCandidate`` rejects."""
-    candidates = []
     columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
-    for line, beta, eta, epsilon, kappa, error in read_csv(path, columns):
-        try:
-            params = SeirParams(beta, eta, epsilon)
-            candidates.append(FitCandidate(params, kappa, beta / eta, error))
-        except ValueError as exc:
-            raise SeriesError(f"{path}:{line}: {exc}") from exc
-    if not candidates:
-        raise SeriesError(f"{path}: empty fit report")
-    return candidates
+    return read_csv(path, columns, lambda beta, eta, epsilon, kappa, error: FitCandidate(
+        SeirParams(beta, eta, epsilon), kappa, beta / eta, error))
 
 
 def default_horizon(n_obs: int) -> int:
@@ -287,28 +279,26 @@ def _bank_pool(n_banks: int):
     """(workers, map) for ``n_banks`` banks: a pool of one worker process per
     usable CPU, or this process.
 
-    Where there is one CPU, one bank or no ``fork``, the banks run in this
-    process.  Each worker ends with this process.  The pool modules are
-    imported only when a pool starts, so that they add nothing to the import
-    of epiwave.
+    Where there is one usable CPU or one bank, the banks run in this process.
+    Usable CPUs are those ``os.sched_getaffinity`` reports (one where it is
+    missing, as on macOS and Windows); every platform that has it can fork.
+    Each worker ends with this process.  The pool modules are imported only
+    when a pool starts, so that they add nothing to the import of epiwave.
     """
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
     workers = min(len(usable), n_banks)
-    if workers > 1:
-        import multiprocessing
+    if workers < 2:
+        yield 1, map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: spawn re-imports __main__ and starts a fresh
-            # interpreter per worker.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context,
-                                     initializer=_exit_with_parent,
-                                     initargs=(os.getpid(),)) as pool:
-                yield workers, pool.map
-            return
-    yield 1, map
+    # fork, not spawn: spawn re-imports __main__ and starts a fresh
+    # interpreter per worker.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent,
+                             initargs=(os.getpid(),)) as pool:
+        yield workers, pool.map
 
 
 def fit_error(

@@ -298,18 +298,12 @@ def cmd_finalsize(args) -> str | None:
     # a bad table leaves no partial output behind.
     table = None
     if args.table is not None:
-        path = _resolve(args.table)
-        table = []
-        for line, label, r0 in read_csv(path, {"wave": str, "r0": float}):
+        def solve(label, r0):
             if "\r" in label:  # csv.writer leaves a lone \r unquoted before 3.13
-                raise SeriesError(f"{path}:{line}: carriage return in "
-                                  f"wave label {label!r}")
-            try:
-                table.append((label, r0, finalsize.solve_final_size(r0)))
-            except ValueError as exc:
-                raise SeriesError(f"{path}:{line}: {exc}") from exc
-        if not table:
-            raise SeriesError(f"{path}: no data rows")
+                raise ValueError(f"carriage return in wave label {label!r}")
+            return label, r0, finalsize.solve_final_size(r0)
+
+        table = read_csv(_resolve(args.table), {"wave": str, "r0": float}, solve)
     curve = None if args.curve is None else finalsize.final_size_curve(*args.curve)
     r_f = None if args.r0 is None else finalsize.solve_final_size(args.r0)
     if curve is not None:

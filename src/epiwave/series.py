@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +86,13 @@ def reading(path):
         raise SeriesError(f"cannot read {path}: {exc}") from exc
 
 
-def read_csv(path, columns) -> list[tuple]:
-    """``(line, *values)`` of each non-blank data row of a CSV file, the twin
-    of ``write_csv``: ``columns`` maps header names (case and outer space
-    ignored) to the parsers of their fields; ``line`` is the row's last line.
-    Rows are parsed as they are read, so an error names the first bad line."""
+def read_csv(path, columns, row) -> list:
+    """``row(*values)`` of each non-blank data row of a CSV file, the twin of
+    ``write_csv``: ``columns`` maps header names (case and outer space
+    ignored) to the parsers of their fields, in ``row``'s argument order.
+    Each row is parsed and built as it is read, so a bad field or a
+    ``ValueError`` from ``row`` names the first bad ``path:line`` (a row's
+    last line); a file without a data row is an error too."""
     with reading(path) as fh:
         reader = csv.reader(fh)
         names = [name.strip().lower() for name in next(reader, [])]
@@ -99,44 +102,48 @@ def read_csv(path, columns) -> list[tuple]:
         width = max(index) + 1
         fields = list(zip(index, columns.items()))
         rows = []
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
+        for raw in reader:
+            if not raw or (len(raw) == 1 and not raw[0].strip()):
                 continue
-            if len(row) < width:
-                raise SeriesError(f"{path}:{reader.line_num}: expected {width} "
-                                  f"fields, found {len(row)}")
-            values = [reader.line_num]
-            for i, (name, parse) in fields:
-                try:
-                    values.append(parse(row[i]))
-                except ValueError as exc:
-                    raise SeriesError(f"{path}:{reader.line_num}: bad {name} "
-                                      f"{row[i]!r}") from exc
-            rows.append(tuple(values))
+            try:
+                if len(raw) < width:
+                    raise ValueError(f"expected {width} fields, found {len(raw)}")
+                values = []
+                for i, (name, parse) in fields:
+                    try:
+                        values.append(parse(raw[i]))
+                    except ValueError as exc:
+                        raise ValueError(f"bad {name} {raw[i]!r}") from exc
+                rows.append(row(*values))
+            except ValueError as exc:
+                raise SeriesError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows:
+        raise SeriesError(f"{path}: no data rows")
     return rows
 
 
 def _load(path, cls):
-    rows = read_csv(
-        path, {"date": lambda s: dt.date.fromisoformat(s.strip()), "value": float})
-    if not rows:
-        raise SeriesError(f"{path}: no data rows")
-    for (_, prev_day, _), (lineno, day, _) in zip(rows, rows[1:]):
-        if day == prev_day:
-            raise SeriesError(f"{path}:{lineno}: duplicate date {day}")
-        if day < prev_day:
-            raise SeriesError(f"{path}:{lineno}: dates not increasing at {day}")
-        gap = (day - prev_day).days
-        if gap > 1:
-            raise SeriesError(
-                f"{path}:{lineno}: interior gap of {gap - 1} day(s) before {day}"
-            )
-    for lineno, _, value in rows:
-        if not np.isfinite(value):
-            raise SeriesError(f"{path}:{lineno}: non-finite value {value}")
+    days = []
+
+    def checked(day, value):
+        if days:
+            gap = (day - days[-1]).days
+            if gap == 0:
+                raise ValueError(f"duplicate date {day}")
+            if gap < 0:
+                raise ValueError(f"dates not increasing at {day}")
+            if gap > 1:
+                raise ValueError(f"interior gap of {gap - 1} day(s) before {day}")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value}")
         if value < 0 and not cls.allow_negative:
-            raise SeriesError(f"{path}:{lineno}: negative value {value}")
-    return cls(start=rows[0][1], values=np.array([v for _, _, v in rows]))
+            raise ValueError(f"negative value {value}")
+        days.append(day)
+        return value
+
+    values = read_csv(path, {"date": lambda s: dt.date.fromisoformat(s.strip()),
+                             "value": float}, checked)
+    return cls(start=days[0], values=np.array(values))
 
 
 def load_series(path) -> DailyCountSeries:

@@ -26,7 +26,7 @@ from epiwave.calibration import (
 from epiwave.epidemic import (DEFAULT_STEP, IntegrationError, SeirParams, daily_deaths,
                               daily_removed, integrate)
 from epiwave.fixtures import synthetic_istanbul, synthetic_wave
-from epiwave.series import DailyCountSeries
+from epiwave.series import DailyCountSeries, SeriesError
 from epiwave.waves import segment_waves
 
 TRUTH = SeirParams(beta=0.23, eta=0.14, epsilon=3.0)
@@ -778,3 +778,10 @@ def test_fit_report_reads_back(tmp_path, wave):
     read = read_fit_report(tmp_path / "fit_report.csv")
     assert bits(read) == bits(report.candidates)
     assert float("inf") in [c.error_pct for c in read]
+
+
+def test_header_only_fit_report_has_no_data_rows(tmp_path):
+    path = tmp_path / "fit_report.csv"
+    path.write_text("r0,beta,eta,epsilon,kappa,error_pct\n")
+    with pytest.raises(SeriesError, match=r"fit_report\.csv: no data rows$"):
+        read_fit_report(path)

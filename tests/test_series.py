@@ -20,6 +20,10 @@ from epiwave.series import (
 )
 
 
+def as_tuple(*values):
+    return values
+
+
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -110,7 +114,8 @@ def test_unreadable_input_is_a_series_error(tmp_path, kind):
         path.mkdir()
     elif content is not None:
         path.write_bytes(content)
-    for read in (load_series, lambda p: read_csv(p, {"date": str, "value": float})):
+    for read in (load_series,
+                 lambda p: read_csv(p, {"date": str, "value": float}, as_tuple)):
         with pytest.raises(SeriesError, match="data.csv"):
             read(path)
 
@@ -118,9 +123,9 @@ def test_unreadable_input_is_a_series_error(tmp_path, kind):
 def test_read_csv_finds_columns_by_name(tmp_path):
     path = write(tmp_path, ' Value ,note,DATE\n\n  \n1.5,"a\nb",2020-01-01\n'
                            '2,,2020-01-02,extra\n""\n')
-    rows = read_csv(path, {"date": dt.date.fromisoformat, "value": float})
-    assert rows == [(5, dt.date(2020, 1, 1), 1.5), (6, dt.date(2020, 1, 2), 2.0)]
-    assert read_csv(write(tmp_path, "date,value\n"), {"date": str}) == []
+    rows = read_csv(path, {"date": dt.date.fromisoformat, "value": float},
+                    lambda day, value: (value, day))
+    assert rows == [(1.5, dt.date(2020, 1, 1)), (2.0, dt.date(2020, 1, 2))]
 
 
 @pytest.mark.parametrize("text, match", [
@@ -130,18 +135,25 @@ def test_read_csv_finds_columns_by_name(tmp_path):
     ("date,value\n2020-01-01,1\n2020-01-02\n", r":3: expected 2 fields, found 1"),
     ("date,value\n2020-01-01,x\nbad,y\n", r":2: bad value 'x'"),
     ("date,value\n2020-01-01,1\nbad,y\n", r":3: bad date 'bad'"),
+    ("date,value\n2020-01-01,\"1\n2\"\n", r":3: bad value '1\\n2'"),
+    ("date,value\n", r"data.csv: no data rows"),
 ])
 def test_read_csv_names_the_line(tmp_path, text, match):
     with pytest.raises(SeriesError, match=match):
-        read_csv(write(tmp_path, text), {"date": dt.date.fromisoformat, "value": float})
+        read_csv(write(tmp_path, text), {"date": dt.date.fromisoformat, "value": float},
+                 as_tuple)
 
 
 def test_read_csv_names_the_first_bad_line(tmp_path):
     """With two defects, the first in file order is named, whatever its kind."""
     path = write(tmp_path, "date,value\n2020-01-01,x\n2020-01-02\n")
     with pytest.raises(SeriesError, match=r":2: bad value 'x'"):
-        read_csv(path, {"date": dt.date.fromisoformat, "value": float})
+        read_csv(path, {"date": dt.date.fromisoformat, "value": float}, as_tuple)
     with pytest.raises(SeriesError, match=r":2: bad value 'x'"):
+        load_series(path)
+    path = write(tmp_path, "date,value\n2020-01-01,1\n2020-01-02,nan\n"
+                           "2020-01-03,1\n2020-01-03,1\n")
+    with pytest.raises(SeriesError, match=r":3: non-finite value"):
         load_series(path)
 
 
