@@ -113,7 +113,7 @@ class FitCandidate:
                              f"or negative error_pct {self.error_pct!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitReport:
     """Ranked candidates plus the error of every cell, shape (nbeta, neta,
     nepsilon); each scan pairs an axis value with its least error.
@@ -186,7 +186,7 @@ def _check_inputs(observed: DailyCountSeries, metric, step, horizon_days):
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     steps_per_day(step)
-    obs = np.asarray(observed.values, float)
+    obs = observed.values
     if obs.size < 14:
         raise ValueError("observed wave must span at least 14 days")
     if not np.any(obs > 0):
@@ -384,6 +384,7 @@ def grid_search(
         )
         for i in top
     ]
+    errors.setflags(write=False)
     return FitReport(candidates, grid, errors.reshape(bv.size, ev.size, xv.size))
 
 

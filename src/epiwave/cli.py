@@ -151,8 +151,10 @@ def _load_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise SeriesError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise SeriesError(f"{path}:{lineno}: duplicate key {key!r}")
+        cfg[key] = value
     return cfg
 
 
@@ -203,12 +205,10 @@ def _write_meta(args, out: Path, name: str, payload: dict) -> None:
 
 def _segments(args):
     """The input excess series and its waves under the segmentation settings."""
-    if args.fixture:
-        excess = fixtures.FIXTURES[args.fixture]()
-    elif args.input:
-        excess = load_excess(_resolve(args.input))
-    else:
-        raise UsageError("either --input or --fixture is required")
+    if (args.input is None) == (args.fixture is None):
+        raise UsageError("give exactly one of --input and --fixture")
+    excess = (load_excess(_resolve(args.input)) if args.fixture is None
+              else fixtures.FIXTURES[args.fixture]())
     config = waves.SegmentationConfig(
         **{s.key: getattr(args, s.key) for s in _SEGMENTATION}
     )

@@ -61,7 +61,7 @@ def _seeded_start(seed: float, seir: bool = True) -> list[float]:
     return [-(1.0 - seed), 0.0, seed, 0.0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled compartment states; times in days from wave start."""
 
@@ -121,6 +121,8 @@ def integrate(
     if not np.all(np.isfinite(states)):
         raise IntegrationError("non-finite state encountered; check step and rates")
     times = np.arange(n_steps + 1) * step
+    states.setflags(write=False)
+    times.setflags(write=False)
     return Trajectory(times=times, states=states, labels=labels, step=step)
 
 

@@ -68,9 +68,8 @@ def synthetic_wave(
     hi = peak
     while hi < dd.size - 1 and above[hi + 1]:
         hi += 1
-    return DailyCountSeries(
-        start=start_date + dt.timedelta(days=lo), values=dd[lo : hi + 1].copy()
-    )
+    return DailyCountSeries(start=start_date + dt.timedelta(days=lo),
+                            values=dd[lo : hi + 1])
 
 
 # The builder of each excess series that --fixture names.

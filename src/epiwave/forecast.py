@@ -19,7 +19,7 @@ from .series import DailyCountSeries
 MIN_HORIZON_DAYS = 14
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForecastBand:
     central: DailyCountSeries
     lower: DailyCountSeries

@@ -19,9 +19,10 @@ class SeriesError(ValueError):
     """Malformed or inconsistent series data (parse and invariant failures)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DailySeries:
-    """One real value per consecutive calendar day starting at ``start``."""
+    """One real value per consecutive calendar day starting at ``start``,
+    held in the series' own read-only copy of ``values``."""
 
     start: dt.date
     values: np.ndarray
@@ -29,7 +30,9 @@ class DailySeries:
     allow_negative = True
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if self.values.ndim != 1 or self.values.size == 0:
             raise SeriesError("series needs a non-empty 1-D value array")
         if not np.all(np.isfinite(self.values)):
@@ -61,7 +64,7 @@ class DailySeries:
         i, j = self.index_of(first), self.index_of(last)
         if j < i:
             raise SeriesError("window end precedes window start")
-        return type(self)(start=first, values=self.values[i : j + 1].copy())
+        return type(self)(start=first, values=self.values[i : j + 1])
 
 
 class DailyCountSeries(DailySeries):
@@ -143,7 +146,7 @@ def _load(path, cls):
 
     values = read_csv(path, {"date": lambda s: dt.date.fromisoformat(s.strip()),
                              "value": float}, checked)
-    return cls(start=days[0], values=np.array(values))
+    return cls(start=days[0], values=values)
 
 
 def load_series(path) -> DailyCountSeries:

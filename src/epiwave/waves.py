@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import ExcessSeries, SeriesError
+from .series import ExcessSeries
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,6 @@ def segment_waves(
     """Detect epidemic waves; an empty list is a valid outcome."""
     if config is None:
         config = SegmentationConfig()
-    if len(excess) == 0:
-        raise SeriesError("cannot segment an empty series")
     v = excess.values
     p = config.min_persistence_days
     waves: list[WaveSegment] = []

@@ -390,6 +390,21 @@ class TestConfigFile:
         assert err.startswith("epiwave: ") and err.count("\n") == 1
         assert line.split("=")[0] in err
 
+    @pytest.mark.parametrize("text, line", [
+        ("top_k=3\ntop_k=5\n", 2),
+        ("# two commands' keys\nhorizon=30\ntop_k=3\n horizon = 60\n", 4),
+    ], ids=["same-command", "other-command"])
+    def test_config_key_given_twice_exits_2(self, tmp_path, capsys, text, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        rc = main(TRIANGLE_FIT + ["--config", str(cfg), "--out", str(out), "--quiet"])
+        assert rc == EXIT_PARSE
+        key = text.splitlines()[line - 1].split("=")[0].strip()
+        assert capsys.readouterr().err == (
+            f"epiwave: {cfg}:{line}: duplicate key {key!r}\n")
+        assert not out.exists()
+
     def test_config_sets_wave_index_and_top_n(self, tmp_path):
         grid = ["--beta-grid", "0.2,0.3,3", "--eta-grid", "0.06,0.16,3",
                 "--epsilon-grid", "3,3,1", "--no-timestamp", "--quiet"]
@@ -412,6 +427,23 @@ class TestConfigFile:
         best = (tmp_path / "flag" / "fit_report.csv").read_text().splitlines()[1]
         beta = float(best.split(",")[1])
         assert json.loads((out / "assumptions.json").read_text())["central"]["beta"] == beta
+
+
+@pytest.mark.parametrize("command", ["waves", "fit"])
+@pytest.mark.parametrize("source", [
+    ["--fixture", "triangle", "--input", "missing.csv"],
+    ["--input", "missing.csv", "--fixture", "triangle"],
+    [],
+])
+def test_exactly_one_of_input_and_fixture(tmp_path, capsys, command, source):
+    out = tmp_path / "out"
+    rc = main([command, *source, "--out", str(out), "--no-timestamp"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("epiwave: ")
+    assert captured.err.count("\n") == 1
+    assert "--input" in captured.err and "--fixture" in captured.err
+    assert not out.exists()
 
 
 def test_out_under_a_regular_file_exits_2(tmp_path, capsys):

@@ -2,7 +2,8 @@
 module imports or reads a private name of another epiwave module.
 ``__init__.py`` is left out: it imports names to re-export them.
 
-Only ``cli.main`` prints, and only ``cli.console_main`` exits the process.
+Only ``cli.main`` prints, and only ``cli.console_main`` exits the process,
+and every dataclass is frozen.
 """
 import ast
 from pathlib import Path
@@ -117,3 +118,33 @@ def test_guard_sees_a_print_and_an_exit():
               "        sys.exit(print(3))\nsys.exit(0)\n")
     assert callers(source, "print") == [(3, "main"), (5, "inner"), (8, "f")]
     assert callers(source, "sys.exit") == [(8, "f"), (9, "<module>")]
+
+
+def unfrozen_dataclasses(source: str) -> list[str]:
+    """Each class decorated ``@dataclass`` without ``frozen=True``."""
+    def frozen(decorator):
+        return isinstance(decorator, ast.Call) and any(
+            k.arg == "frozen" and isinstance(k.value, ast.Constant)
+            and k.value.value is True for k in decorator.keywords)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for d in node.decorator_list:
+                name = d.func if isinstance(d, ast.Call) else d
+                if ast.unparse(name).split(".")[-1] == "dataclass" and not frozen(d):
+                    found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(path):
+    assert unfrozen_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unfrozen_dataclass():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass A: pass\n@dataclass(order=True)\nclass B: pass\n"
+              "@dataclasses.dataclass(frozen=False)\nclass C: pass\n"
+              "@dataclass(frozen=True)\nclass D: pass\n")
+    assert unfrozen_dataclasses(source) == ["line 4: A", "line 6: B", "line 8: C"]

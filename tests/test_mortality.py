@@ -90,17 +90,15 @@ class TestExpectedDeaths:
         assert len(out) == 366  # leap target
 
     def test_leap_day_from_non_leap_histories(self):
-        h = const_year(2019, 0.0)
-        feb28 = (dt.date(2019, 2, 28) - dt.date(2019, 1, 1)).days
-        mar1 = (dt.date(2019, 3, 1) - dt.date(2019, 1, 1)).days
-        h.values[feb28] = 10.0
-        h.values[mar1] = 30.0
+        values = np.zeros(365)
+        values[(dt.date(2019, 2, 28) - dt.date(2019, 1, 1)).days] = 10.0
+        values[(dt.date(2019, 3, 1) - dt.date(2019, 1, 1)).days] = 30.0
+        h = DailyCountSeries(start=dt.date(2019, 1, 1), values=values)
         out = expected_deaths([h], BaselineWeights((1.0,)), *whole_year(2020))
         assert out.values[out.index_of(dt.date(2020, 2, 29))] == pytest.approx(20.0)
 
     def test_single_history_weight_one_identity(self):
-        h = const_year(2019, 0.0)
-        h.values[:] = np.arange(365.0)
+        h = DailyCountSeries(start=dt.date(2019, 1, 1), values=np.arange(365.0))
         out = expected_deaths([h], BaselineWeights((1.0,)), *whole_year(2021))
         assert np.array_equal(out.values, h.values)
 

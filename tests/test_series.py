@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import sys
 import tempfile
@@ -8,6 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epiwave import (
+    GridSpec,
+    SeirParams,
+    excess_mortality,
+    grid_search,
+    integrate,
+    predict_wave,
+    trailing_average_7,
+)
+from epiwave.fixtures import synthetic_wave
 from epiwave.series import (
     DailyCountSeries,
     ExcessSeries,
@@ -220,6 +231,40 @@ def test_window_and_lookup():
     assert s.values[s.index_of(dt.date(2020, 1, 10))] == 9.0
     with pytest.raises(SeriesError):
         s.index_of(dt.date(2020, 1, 11))
+
+
+def test_series_owns_a_read_only_copy():
+    a = np.arange(10.0)
+    s = DailyCountSeries(dt.date(2020, 1, 1), a)
+    assert not np.shares_memory(s.values, a) and a.flags.writeable
+    a[0] = np.nan  # the caller's array stays its own
+    assert np.array_equal(s.values, np.arange(10.0))
+    with pytest.raises(ValueError):
+        s.values[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = np.zeros(0)
+
+
+def test_pipeline_arrays_are_read_only(tmp_path):
+    params = SeirParams(0.3, 0.1, 0.5)
+    wave = synthetic_wave(params, kappa=1e4)
+    path = tmp_path / "wave.csv"
+    save_series(wave, path)
+    traj = integrate("seir", params, 20)
+    report = grid_search(wave, GridSpec((0.25, 0.35, 2), (0.1, 0.1, 1), (0.5, 0.5, 1)))
+    band = predict_wave(report.candidates, wave.start, 20)
+    arrays = {
+        "wave": wave.values,
+        "window": wave.window(wave.start, wave.end).values,
+        "load_series": load_series(path).values,
+        "trailing_average_7": trailing_average_7(wave).values,
+        "excess_mortality": excess_mortality(wave, wave).values,
+        "states": traj.states,
+        "times": traj.times,
+        "surface": report.surface,
+        "central": band.central.values,
+    }
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
 
 def test_count_series_rejects_negative_array():

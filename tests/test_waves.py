@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -22,11 +23,12 @@ def test_all_zero_yields_no_waves():
 
 
 def test_empty_series_rejected():
-    # constructors refuse empty arrays, so force one to exercise the guard
-    s = excess([1.0, 2.0])
-    s.values = s.values[:0]
+    # an empty series cannot be built, nor made by emptying a built one
     with pytest.raises(SeriesError):
-        segment_waves(s)
+        excess([])
+    s = excess([1.0, 2.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = s.values[:0]
 
 
 def test_symmetric_triangle_single_wave():
