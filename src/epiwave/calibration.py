@@ -113,7 +113,7 @@ class FitCandidate:
                              f"or negative error_pct {self.error_pct!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     """Ranked candidates plus the error of every cell, shape (nbeta, neta,
     nepsilon); each scan pairs an axis value with its least error.
@@ -125,7 +125,7 @@ class FitReport:
     the fit's step on every input measured.  Each ranks strictly behind
     every candidate and behind its slices' minima."""
 
-    candidates: list[FitCandidate]
+    candidates: tuple[FitCandidate, ...]
     grid: GridSpec
     surface: np.ndarray
 
@@ -145,12 +145,12 @@ class FitReport:
         write_csv(path, ("r0", "beta", "eta", "epsilon", "kappa", "error_pct"), rows)
 
 
-def read_fit_report(path) -> list[FitCandidate]:
+def read_fit_report(path) -> tuple[FitCandidate, ...]:
     """The candidates of a fit_report.csv, in file order; SeriesError, naming
     ``path:line``, for a row that ``SeirParams`` or ``FitCandidate`` rejects."""
     columns = dict.fromkeys(("beta", "eta", "epsilon", "kappa", "error_pct"), float)
-    return read_csv(path, columns, lambda beta, eta, epsilon, kappa, error: FitCandidate(
-        SeirParams(beta, eta, epsilon), kappa, beta / eta, error))
+    return tuple(read_csv(path, columns, lambda beta, eta, epsilon, kappa, err: FitCandidate(
+        SeirParams(beta, eta, epsilon), kappa, beta / eta, err)))
 
 
 def default_horizon(n_obs: int) -> int:
@@ -317,7 +317,7 @@ def fit_error(
 
 def grid_search(
     observed: DailyCountSeries,
-    grid: GridSpec | None = None,
+    grid: GridSpec = GridSpec(),
     metric: str = "nrmse-peak",
     top_k: int = 10,
     *,
@@ -337,8 +337,6 @@ def grid_search(
 
     Raises IntegrationError when no cell has a finite error.
     """
-    if grid is None:
-        grid = GridSpec()
     if not isinstance(top_k, (int, np.integer)) or top_k < 1:
         raise ValueError(f"top_k must be an int >= 1: {top_k!r}")
     obs, horizon = _check_inputs(observed, metric, step, horizon_days)
@@ -375,7 +373,7 @@ def grid_search(
     # Ascending error; ties broken lexicographically by (beta, eta, epsilon).
     order = np.lexsort((X, H, B, errors))
     top = order[: min(top_k, n)]
-    candidates = [
+    candidates = tuple(
         FitCandidate(
             params=SeirParams(float(B[i]), float(H[i]), float(X[i])),
             kappa=float(kappas[i]),
@@ -383,7 +381,7 @@ def grid_search(
             error_pct=float(errors[i]),
         )
         for i in top
-    ]
+    )
     errors.setflags(write=False)
     return FitReport(candidates, grid, errors.reshape(bv.size, ev.size, xv.size))
 

@@ -61,7 +61,7 @@ def _seeded_start(seed: float, seir: bool = True) -> list[float]:
     return [-(1.0 - seed), 0.0, seed, 0.0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled compartment states; times in days from wave start."""
 

@@ -19,7 +19,7 @@ from .series import DailyCountSeries
 MIN_HORIZON_DAYS = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastBand:
     central: DailyCountSeries
     lower: DailyCountSeries

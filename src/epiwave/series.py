@@ -19,7 +19,7 @@ class SeriesError(ValueError):
     """Malformed or inconsistent series data (parse and invariant failures)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DailySeries:
     """One real value per consecutive calendar day starting at ``start``,
     held in the series' own read-only copy of ``values``."""

@@ -95,11 +95,9 @@ def _make_segment(excess: ExcessSeries, i0: int, i1: int) -> WaveSegment:
 
 
 def segment_waves(
-    excess: ExcessSeries, config: SegmentationConfig | None = None
+    excess: ExcessSeries, config: SegmentationConfig = SegmentationConfig()
 ) -> list[WaveSegment]:
     """Detect epidemic waves; an empty list is a valid outcome."""
-    if config is None:
-        config = SegmentationConfig()
     v = excess.values
     p = config.min_persistence_days
     waves: list[WaveSegment] = []

@@ -1,5 +1,6 @@
 import concurrent.futures
 import datetime as dt
+import inspect
 import os
 import signal
 import subprocess
@@ -50,6 +51,10 @@ class TestGridSpec:
         g = GridSpec()
         assert g.n_cells == 200 * 150 * 7
         assert np.allclose(g.epsilon_values, [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])
+
+    def test_grid_search_defaults_to_a_frozen_instance(self):
+        default = inspect.signature(grid_search).parameters["grid"].default
+        assert default == GridSpec()
 
     def test_single_step_axis_pins_min(self):
         g = GridSpec(epsilon_range=(3.0, 3.0, 1))
@@ -776,6 +781,7 @@ def test_fit_report_reads_back(tmp_path, wave):
                 for c in candidates]
 
     read = read_fit_report(tmp_path / "fit_report.csv")
+    assert type(read) is type(report.candidates) is tuple
     assert bits(read) == bits(report.candidates)
     assert float("inf") in [c.error_pct for c in read]
 

@@ -470,6 +470,19 @@ def test_data_dir_env_resolves_bare_names(tmp_path, monkeypatch):
     assert json.loads((out / "waves.json").read_text()) == []
 
 
+def test_data_dir_env_without_the_name_exits_2(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    monkeypatch.setenv("EPIWAVE_DATA_DIR", str(data))
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["waves", "--input", "absent.csv", "--out", str(out), "--quiet"])
+    assert rc == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("epiwave: ") and err.count("\n") == 1 and "absent.csv" in err
+    assert not out.exists()
+
+
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m epiwave.cli`` in a fresh interpreter, so that stderr is
     what a user sees, warnings included."""

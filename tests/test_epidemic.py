@@ -395,6 +395,12 @@ class TestDailyDeaths:
         expected = scale * (R[150 * per_day] - R[0])
         assert out.sum() == pytest.approx(expected, abs=1e-9 * scale)
 
+    @pytest.mark.parametrize("scale", [-1.0, np.inf, np.nan])
+    def test_scale_must_be_finite_and_non_negative(self, scale):
+        traj = integrate("seir", WAVE1_PARAMS, 30)
+        with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+            daily_deaths(traj, scale)
+
     def test_sub_day_trajectory_rejected(self):
         with pytest.raises(ValueError):
             integrate("seir", WAVE1_PARAMS, 0.5, 0.05)

@@ -114,6 +114,11 @@ class TestExpectedDeaths:
             expected_deaths([const_year(2019, 1.0)], BaselineWeights(), *whole_year(2020))
         assert type(info.value) is ValueError
 
+    def test_history_longer_than_a_year(self):
+        history = DailyCountSeries(start=dt.date(2019, 1, 1), values=np.ones(366))
+        with pytest.raises(SeriesError, match=r"more than one year \(repeats \(1, 1\)\)"):
+            expected_deaths([history], BaselineWeights((1.0,)), *whole_year(2021))
+
     def test_missing_month_day(self):
         partial = DailyCountSeries(
             start=dt.date(2019, 1, 1), values=np.ones(200)

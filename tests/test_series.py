@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epiwave import (
+    FitCandidate,
     GridSpec,
     SeirParams,
     excess_mortality,
@@ -67,6 +68,12 @@ def test_interior_gap_is_error(tmp_path):
 def test_duplicate_date_is_error(tmp_path):
     path = write(tmp_path, "date,value\n2020-03-15,1\n2020-03-15,2\n")
     with pytest.raises(SeriesError, match="duplicate"):
+        load_series(path)
+
+
+def test_earlier_date_is_error_with_line_number(tmp_path):
+    path = write(tmp_path, "date,value\n2020-03-15,1\n2020-03-16,2\n2020-03-14,3\n")
+    with pytest.raises(SeriesError, match=r"csv:4: dates not increasing at 2020-03-14$"):
         load_series(path)
 
 
@@ -231,6 +238,8 @@ def test_window_and_lookup():
     assert s.values[s.index_of(dt.date(2020, 1, 10))] == 9.0
     with pytest.raises(SeriesError):
         s.index_of(dt.date(2020, 1, 11))
+    with pytest.raises(SeriesError, match="window end precedes window start"):
+        s.window(dt.date(2020, 1, 5), dt.date(2020, 1, 3))
 
 
 def test_series_owns_a_read_only_copy():
@@ -265,6 +274,34 @@ def test_pipeline_arrays_are_read_only(tmp_path):
         "central": band.central.values,
     }
     assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", [DailyCountSeries, ExcessSeries])
+def test_series_rejects_non_finite_array(kind, value):
+    with pytest.raises(SeriesError, match="non-finite"):
+        kind(start=dt.date(2020, 1, 1), values=np.array([1.0, value]))
+
+
+PARAMS = SeirParams(0.3, 0.1, 0.5)
+CARRIERS = {
+    "DailyCountSeries": lambda: DailyCountSeries(dt.date(2020, 1, 1), [1.0, 2.0]),
+    "ExcessSeries": lambda: ExcessSeries(dt.date(2020, 1, 1), [-1.0, 2.0]),
+    "Trajectory": lambda: integrate("seir", PARAMS, 2),
+    "FitReport": lambda: grid_search(synthetic_wave(PARAMS, kappa=1e4), GridSpec(
+        (0.25, 0.35, 2), (0.1, 0.1, 1), (0.5, 0.5, 1))),
+    "ForecastBand": lambda: predict_wave([FitCandidate(PARAMS, 1e4, 0.3 / 0.1, 0.0)],
+                                         dt.date(2020, 1, 1), 14),
+}
+
+
+@pytest.mark.parametrize("build", CARRIERS.values(), ids=CARRIERS)
+def test_carriers_compare_and_hash_by_identity(build):
+    """Two carriers built alike are two objects: each equals only itself."""
+    x, y = build(), build()
+    assert x == x and x in [x] and hash(x) == hash(x)
+    assert x != y and not x == y and x not in [y]
+    assert len({x, y}) == 2
 
 
 def test_count_series_rejects_negative_array():

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import inspect
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from epiwave.fixtures import synthetic_istanbul, triangle_excess
 from epiwave.series import ExcessSeries, SeriesError
-from epiwave.waves import SegmentationConfig, segment_waves
+from epiwave.waves import SegmentationConfig, WaveSegment, segment_waves
 
 TRI_CFG = SegmentationConfig(
     start_threshold=5, end_threshold=5, min_persistence_days=3, min_wave_days=21
@@ -149,6 +150,20 @@ def test_waves_ordered_disjoint_and_partitioned(values, start, ratio, persist, l
         assert seg.total_deaths == pytest.approx(span.sum(), rel=1e-12)
     for a, b in zip(segments, segments[1:]):
         assert a.end_date < b.start_date
+
+
+@pytest.mark.parametrize("peak", [dt.date(2020, 1, 1), dt.date(2020, 2, 1)])
+def test_segment_dates_out_of_order_rejected(peak):
+    with pytest.raises(ValueError, match="wave dates out of order"):
+        WaveSegment(start_date=dt.date(2020, 1, 15), peak_date=peak,
+                    end_date=dt.date(2020, 1, 20),
+                    rise_days=0, fall_days=0, total_days=5, deaths_to_peak=0.0,
+                    deaths_after_peak=0.0, total_deaths=0.0)
+
+
+def test_default_config_is_a_frozen_instance():
+    default = inspect.signature(segment_waves).parameters["config"].default
+    assert default == SegmentationConfig()
 
 
 def test_config_validation():
