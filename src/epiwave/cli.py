@@ -1,9 +1,9 @@
 """Command-line pipeline: ingest -> smooth -> baseline -> excess -> segment
 -> fit -> forecast -> final size.
 
-Subcommands write plot-ready CSV/JSON artifacts into the output directory
-and return their summary line, which ``main`` prints.  Exit codes: 0 success,
-2 input, config or output error, 3 inconsistent values, 4 usage.
+Subcommands return their summary line and their plot-ready CSV/JSON
+artifacts, and ``main`` writes both.  Exit codes: 0 success, 2 input, config
+or output error, 3 inconsistent values, 4 usage.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -187,20 +188,17 @@ def _parse_axis(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _out_dir(args) -> Path:
-    """The output directory, created if it is missing."""
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_meta(args, out: Path, name: str, payload: dict) -> None:
-    meta = dict(payload)
-    if not args.no_timestamp:
-        meta["generated_at"] = dt.datetime.now(dt.timezone.utc).isoformat()
-    with open(out / name, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+def _write_json(payload, sort_keys: bool, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def _meta(args, payload: dict):
+    """The writer of a metadata file: sorted keys, stamped unless --no-timestamp."""
+    stamp = {} if args.no_timestamp else {
+        "generated_at": dt.datetime.now(dt.timezone.utc).isoformat()}
+    return partial(_write_json, {**payload, **stamp}, True)
 
 
 def _segments(args):
@@ -215,7 +213,7 @@ def _segments(args):
     return excess, waves.segment_waves(excess, config)
 
 
-def cmd_excess(args) -> str:
+def cmd_excess(args) -> tuple[str, dict]:
     reported = load_series(_resolve(args.reported))
     histories = [load_series(_resolve(p)) for p in args.history]
     weights = mortality.BaselineWeights(tuple(args.weights))
@@ -227,24 +225,20 @@ def cmd_excess(args) -> str:
     excess = mortality.excess_mortality(reported, expected)
     if args.smoothing == "post":
         excess = mortality.trailing_average_7(excess)
-
-    out = _out_dir(args)
-    save_series(excess, out / "excess.csv")
     total = float(np.sum(excess.values))
-    _write_meta(args, out, "excess_meta.json", {"total_excess": total})
-    return f"total_excess={total:.6g}"
+    return f"total_excess={total:.6g}", {
+        "excess.csv": partial(save_series, excess),
+        "excess_meta.json": _meta(args, {"total_excess": total}),
+    }
 
 
-def cmd_waves(args) -> str:
+def cmd_waves(args) -> tuple[str, dict]:
     _, segments = _segments(args)
-    out = _out_dir(args)
-    with open(out / "waves.json", "w", encoding="utf-8") as fh:
-        json.dump([s.to_dict() for s in segments], fh, indent=2)
-        fh.write("\n")
-    return f"waves={len(segments)}"
+    waves_json = partial(_write_json, [s.to_dict() for s in segments], False)
+    return f"waves={len(segments)}", {"waves.json": waves_json}
 
 
-def cmd_fit(args) -> str:
+def cmd_fit(args) -> tuple[str, dict]:
     excess, segments = _segments(args)
     index = args.wave_index
     if index < 0 or index >= len(segments):
@@ -256,24 +250,20 @@ def cmd_fit(args) -> str:
     observed = DailyCountSeries(start=piece.start, values=np.maximum(piece.values, 0.0))
     grid = GridSpec(args.beta_grid, args.eta_grid, args.epsilon_grid)
     report = calibration.grid_search(observed, grid, args.metric, args.top_k)
-    out = _out_dir(args)
-    report.to_csv(out / "fit_report.csv")
     scan_header = ("param_value", "min_error_pct")
-    write_csv(out / "beta_scan.csv", scan_header, report.beta_scan)
-    write_csv(out / "eta_scan.csv", scan_header, report.eta_scan)
-    _write_meta(
-        args,
-        out,
-        "fit_meta.json",
-        {"metric": args.metric, "cells": grid.n_cells, "top_k": args.top_k},
-    )
     best = report.candidates[0]
     return (f"best r0={best.r0:.3f} beta={best.params.beta:.6g} "
             f"eta={best.params.eta:.6g} epsilon={best.params.epsilon:.6g} "
-            f"error_pct={best.error_pct:.6g}")
+            f"error_pct={best.error_pct:.6g}"), {
+        "fit_report.csv": report.to_csv,
+        "beta_scan.csv": partial(write_csv, header=scan_header, rows=report.beta_scan),
+        "eta_scan.csv": partial(write_csv, header=scan_header, rows=report.eta_scan),
+        "fit_meta.json": _meta(args, {"metric": args.metric, "cells": grid.n_cells,
+                                      "top_k": args.top_k}),
+    }
 
 
-def cmd_forecast(args) -> str:
+def cmd_forecast(args) -> tuple[str, dict]:
     priors = []
     for path in map(_resolve, args.prior_report):
         candidates = calibration.read_fit_report(path)
@@ -283,19 +273,18 @@ def cmd_forecast(args) -> str:
             raise SeriesError(f"{path}: no row with a finite error_pct")
         priors.append(calibration.average_top_candidates(candidates, n))
     band = forecast.predict_wave(priors, args.start_date, args.horizon)
-    out = _out_dir(args)
     rows = zip(band.central.dates(), band.lower.values.tolist(),
                band.central.values.tolist(), band.upper.values.tolist())
-    write_csv(out / "forecast.csv", ("date", "lower", "central", "upper"), rows)
-    _write_meta(args, out, "assumptions.json", band.assumptions)
-    return f"central_r0={band.assumptions['central']['r0']:.3f}"
+    header = ("date", "lower", "central", "upper")
+    return f"central_r0={band.assumptions['central']['r0']:.3f}", {
+        "forecast.csv": partial(write_csv, header=header, rows=rows),
+        "assumptions.json": _meta(args, band.assumptions),
+    }
 
 
-def cmd_finalsize(args) -> str | None:
+def cmd_finalsize(args) -> tuple[str | None, dict]:
     if args.r0 is None and args.curve is None and args.table is None:
         raise UsageError("finalsize needs --r0, --curve or --table")
-    # Every requested part is read and solved before anything is written, so
-    # a bad table leaves no partial output behind.
     table = None
     if args.table is not None:
         def solve(label, r0):
@@ -306,24 +295,21 @@ def cmd_finalsize(args) -> str | None:
         table = read_csv(_resolve(args.table), {"wave": str, "r0": float}, solve)
     curve = None if args.curve is None else finalsize.final_size_curve(*args.curve)
     r_f = None if args.r0 is None else finalsize.solve_final_size(args.r0)
-    if curve is not None:
-        write_csv(_out_dir(args) / "final_size_curve.csv", ("r0", "r_f"), curve)
-    if table is not None:
-        write_csv(_out_dir(args) / "herd_immunity.csv", ("wave", "r0", "r_f"), table)
-    return None if r_f is None else f"{r_f:.3f}"
+    parts = (("final_size_curve.csv", ("r0", "r_f"), curve),
+             ("herd_immunity.csv", ("wave", "r0", "r_f"), table))
+    return None if r_f is None else f"{r_f:.3f}", {
+        name: partial(write_csv, header=header, rows=rows)
+        for name, header, rows in parts if rows is not None}
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> tuple[str, dict]:
     params = SeirParams(args.beta, args.eta, args.epsilon)
     traj = integrate(args.model, params, args.days, args.step, args.seed_fraction)
-    deaths = None
+    artifacts = {"trajectory.csv": traj.to_csv}
     if args.kappa is not None:
         deaths = DailyCountSeries(args.start_date, daily_deaths(traj, args.kappa))
-    out = _out_dir(args)
-    traj.to_csv(out / "trajectory.csv")
-    if deaths is not None:
-        save_series(deaths, out / "deaths.csv")
-    return f"samples={len(traj)}"
+        artifacts["deaths.csv"] = partial(save_series, deaths)
+    return f"samples={len(traj)}", artifacts
 
 
 _SOURCE = (Setting("--input", None),
@@ -432,13 +418,19 @@ def _join_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one command and print its summary line unless ``--quiet``; every
-    error exits with the code of its category, an unwritable output as 2."""
+    """Run one command, write its artifacts into ``--out`` (made only then)
+    and print its summary line unless ``--quiet``; every error exits with the
+    code of its category, an unwritable output as 2."""
     try:
         args = build_parser().parse_args(
             _join_values(sys.argv[1:] if argv is None else argv))
         _apply_config(args, _load_config(args.config), COMMANDS[args.command][2])
-        summary = args.func(args)
+        summary, artifacts = args.func(args)
+        if artifacts:
+            out = Path(args.out or ".")
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write in artifacts.items():
+                write(out / name)
         if summary is not None and not args.quiet:
             print(summary)
         return EXIT_OK

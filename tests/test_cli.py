@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import epiwave
+import epiwave.cli as cli
 from epiwave.cli import EXIT_INVARIANT, EXIT_PARSE, EXIT_USAGE, main
 from epiwave.fixtures import triangle_excess
 from epiwave.series import DailyCountSeries, load_excess, save_series
@@ -483,6 +484,15 @@ def test_data_dir_env_without_the_name_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_default_output_directory_is_the_current_one(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["waves", "--fixture", "triangle", "--quiet"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["waves.json"]
+    (tmp_path / "waves.json").unlink()
+    assert main(["finalsize", "--r0", "2.5", "--quiet"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_module(*argv) -> subprocess.CompletedProcess:
     """``python -m epiwave.cli`` in a fresh interpreter, so that stderr is
     what a user sees, warnings included."""
@@ -605,7 +615,7 @@ def test_fit_with_every_cell_blown_up_exits_3(tmp_path):
     assert done.returncode == EXIT_INVARIANT
     assert done.stderr.startswith("epiwave: ") and done.stderr.count("\n") == 1
     assert "RuntimeWarning" not in done.stderr
-    assert not (out / "fit_report.csv").exists()
+    assert not out.exists()
 
 
 FIT_REPORT_HEADER = "r0,beta,eta,epsilon,kappa,error_pct\n"
@@ -784,6 +794,18 @@ def test_each_command_writes_its_artifacts(registry, tmp_path, command):
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[command])
 
 
+@pytest.mark.parametrize("command", list(ARTIFACTS))
+def test_each_command_returns_its_artifacts_and_writes_none(registry, tmp_path,
+                                                            command):
+    out = tmp_path / "out"
+    argv = argv_writing_all(command, registry, tmp_path) + ["--out", str(out)]
+    args = cli.build_parser().parse_args(argv)
+    cli._apply_config(args, {}, cli.COMMANDS[command][2])
+    _, artifacts = args.func(args)
+    assert not out.exists()
+    assert tuple(artifacts) == ARTIFACTS[command]
+
+
 @pytest.mark.parametrize("command, artifact",
                          [(c, a) for c, names in ARTIFACTS.items() for a in names])
 def test_unwritable_artifact_exits_2_naming_it(registry, tmp_path, capsys,
@@ -805,8 +827,14 @@ def test_unwritable_artifact_exits_2_naming_it(registry, tmp_path, capsys,
     (None, ["simulate", "--step", "0.3", "--days", "10"], "step"),
     ("simulate", ["--step", "20", "--days", "10"], "step"),
     ("simulate", ["--step", "1e-300", "--days", "10"], "step"),
+    ("excess", ["--weights", "0.5,0.5"], "weights"),
+    ("waves", ["--start-threshold", "1", "--end-threshold", "2"], "end_threshold"),
+    ("fit", ["--start-threshold", "1", "--end-threshold", "2"], "end_threshold"),
+    ("fit", ["--epsilon-grid", "100000,100000,1"], "finite error"),
 ], ids=["simulate past 9999", "forecast past 9999", "step too small to count",
-        "step 0.3", "step 0.3 without kappa", "step 20", "step 1e-300"])
+        "step 0.3", "step 0.3 without kappa", "step 20", "step 1e-300",
+        "excess weight count", "waves end above start", "fit end above start",
+        "fit every cell blown up"])
 def test_unrepresentable_run_exits_3_and_writes_nothing(registry, tmp_path, capsys,
                                                         command, extra, named):
     out = tmp_path / "out"
